@@ -93,7 +93,9 @@ class PairwiseRun {
     WallTimer total;
     if (q_.always_empty) {
       GroupAccum empty(plan_.dims.size(), &plan_.aggs);
-      QueryResult r = MaterializeGroups(plan_, empty, dim_infos_);
+      LH_ASSIGN_OR_RETURN(
+          QueryResult r,
+          MaterializeGroups(plan_, {GroupPartial{&empty}}, dim_infos_));
       r.timing.exec_ms = total.ElapsedMillis();
       return r;
     }
@@ -163,7 +165,9 @@ class PairwiseRun {
       }
     }
 
-    QueryResult result = MaterializeGroups(plan_, groups, dim_infos_);
+    LH_ASSIGN_OR_RETURN(
+        QueryResult result,
+        MaterializeGroups(plan_, {GroupPartial{&groups}}, dim_infos_));
     ApplyOrderAndLimit(q_, &result);
     result.timing.exec_ms = total.ElapsedMillis();
     return result;

@@ -54,7 +54,8 @@ struct QueryGuard {
   std::chrono::steady_clock::time_point deadline{};
   /// Max rows the engine will accumulate/materialize for one query
   /// (0 = unlimited). Enforced against group counts during accumulation
-  /// (the OOM backstop) and against the materialized row count.
+  /// (the OOM backstop) and against the final row count, before the output
+  /// columns are allocated.
   size_t max_result_rows = 0;
 
   /// True when any cancellation source is attached (the row bound is

@@ -704,7 +704,7 @@ class NodeExec {
         }
       }
     }
-        // Compiled leaf expressions (codegen stand-in) for multi-relation
+    // Compiled leaf expressions (codegen stand-in) for multi-relation
     // aggregate arguments that need no per-row folding.
     auto slot_of = [&](int rel) {
       for (size_t s = 0; s < node_.relations.size(); ++s) {
@@ -783,12 +783,12 @@ class NodeExec {
 
   // ---- Phase-split aggregate run (the full run = PrepareChunks, then
   // RunChunk for every chunk in any order / from any thread, then
-  // FoldChunks). ExecuteJoin drives the chunks through the global pool;
-  // the sharded router (ChunkedPlanExec) drives the same chunks from its
-  // lane pools. Grain and skew threshold are functions of cardinalities
-  // only — chunk and sub-task boundaries are merge boundaries for
-  // floating-point partials, so they must not move with the thread count
-  // or the scatter topology (results stay bit-identical under any
+  // AbsorbWorkers and Partials). ExecuteJoin drives the chunks through the
+  // global pool; the sharded router (ChunkedPlanExec) drives the same
+  // chunks from its lane pools. Grain and skew threshold are functions of
+  // cardinalities only — chunk and sub-task boundaries are merge boundaries
+  // for floating-point partials, so they must not move with the thread
+  // count or the scatter topology (results stay bit-identical under any
   // LH_THREADS and any shard count). Scheduling only changes which worker
   // executes a given chunk or task.
 
@@ -798,9 +798,12 @@ class NodeExec {
     key_width_ = dims_->size();
     append_mode_ = !dims_->empty();
     max_dim_pos_ = -1;
-    for (const DimInfo& d : *dims_) {
-      if (d.kind != DimKind::kKeyVertex) append_mode_ = false;
-      max_dim_pos_ = std::max(max_dim_pos_, d.vertex_pos);
+    const int k = static_cast<int>(node_.attr_order.size());
+    for (size_t d = 0; d < dims_->size(); ++d) {
+      const DimInfo& info = (*dims_)[d];
+      if (info.kind != DimKind::kKeyVertex) append_mode_ = false;
+      max_dim_pos_ = std::max(max_dim_pos_, info.vertex_pos);
+      if (info.vertex_pos == k - 1) last_vertex_words_.push_back(d);
     }
     seed_ = std::make_unique<Worker>();
     InitWorker(seed_.get(), key_width_);
@@ -810,9 +813,9 @@ class NodeExec {
     const int64_t n = static_cast<int64_t>(root_values_.size());
     grain_ = AdaptiveGrain(n);
     num_chunks_ = (n + grain_ - 1) / grain_;
-    const int k = static_cast<int>(node_.attr_order.size());
     skew_threshold_ = SplittableShape(k) ? SkewThreshold() : 0;
     chunk_out_.resize(num_chunks_);
+    chunk_pool_.resize(num_chunks_);
   }
 
   int64_t num_chunks() const { return num_chunks_; }
@@ -825,6 +828,7 @@ class NodeExec {
     std::unique_ptr<Worker> holder = AcquireWorker();
     Worker& w = *holder;
     chunk_out_[chunk] = std::make_unique<GroupAccum>(key_width_, &plan_.aggs);
+    chunk_pool_[chunk] = &pool;
     w.groups = chunk_out_[chunk].get();
     const int64_t lo = chunk * grain_;
     const int64_t hi = std::min<int64_t>(
@@ -851,25 +855,39 @@ class NodeExec {
     ReleaseWorker(std::move(holder));
   }
 
-  /// Folds the per-chunk partials in chunk order (the FP merge contract)
-  /// and absorbs worker tallies. Call once, after every RunChunk returned.
-  GroupAccum FoldChunks() {
-    GroupAccum result(key_width_, &plan_.aggs);
-    for (int64_t c = 0; c < num_chunks_; ++c) {
-      if (chunk_out_[c] == nullptr) continue;
-      if (append_mode_) {
-        result.ConcatFrom(*chunk_out_[c]);
-      } else {
-        result.MergeFrom(*chunk_out_[c]);
-      }
-    }
-    chunk_out_.clear();
+  /// Absorbs the chunk runs' worker tallies (leaves(), nodes_visited()).
+  /// Call once, after every RunChunk returned.
+  void AbsorbWorkers() {
     if (seed_ != nullptr) AbsorbWorker(*seed_);
     seed_.reset();
     MutexLock lock(&scratch_mu_);
     for (const auto& w : free_workers_) AbsorbWorker(*w);
     free_workers_.clear();
-    return result;
+  }
+
+  /// The chunk partials in chunk order, each with the pool its chunk ran
+  /// on, for MaterializeGroups. Append-mode partials arrive in global key
+  /// order and are handed over as they are (MaterializeGroups applies the
+  /// boundary rule); hash-mode partials overlap in keys, so they are first
+  /// merged into one table in chunk order (the FP merge contract). The
+  /// partials stay owned here. Call once, after every RunChunk returned.
+  std::vector<GroupPartial> Partials() {
+    std::vector<GroupPartial> out;
+    if (append_mode_) {
+      for (int64_t c = 0; c < num_chunks_; ++c) {
+        if (chunk_out_[c] != nullptr) {
+          out.push_back({chunk_out_[c].get(), chunk_pool_[c]});
+        }
+      }
+      return out;
+    }
+    merged_ = std::make_unique<GroupAccum>(key_width_, &plan_.aggs);
+    for (const auto& partial : chunk_out_) {
+      if (partial != nullptr) merged_->MergeFrom(*partial);
+    }
+    chunk_out_.clear();
+    out.push_back({merged_.get(), nullptr});
+    return out;
   }
 
   /// Leaves reached (tuples emitted) across all runs on this node.
@@ -1424,16 +1442,26 @@ class NodeExec {
         acc[0] += fixed * values[r];
       });
     });
-    FlushRelaxed(w, depth, stride);
+    FlushRelaxed(w, stride);
     return true;
   }
 
-  /// Emits one leaf per touched last-attribute value, ascending.
-  void FlushRelaxed(Worker* w, int depth, size_t stride) {
+  /// Emits one leaf per touched last-attribute value, ascending. In append
+  /// mode the group key is encoded once and only the last vertex's words
+  /// are patched per value, with one table growth for the whole run.
+  void FlushRelaxed(Worker* w, size_t stride) {
     const int k = static_cast<int>(node_.attr_order.size());
-    (void)depth;
     w->leaf_count += w->relax_touched.size();
     std::sort(w->relax_touched.begin(), w->relax_touched.end());
+    if (append_mode_ && !last_vertex_words_.empty()) {
+      EncodeGroupKey(w);
+      w->groups->AppendRun(w->group_key.data(), last_vertex_words_,
+                           w->relax_touched.data(), w->relax_touched.size(),
+                           w->relax_acc.data());
+      for (uint32_t m : w->relax_touched) w->relax_occ[m] = 0;
+      w->relax_touched.clear();
+      return;
+    }
     for (uint32_t m : w->relax_touched) {
       w->vals[k - 1] = m;
       EncodeGroupKey(w);
@@ -1496,7 +1524,7 @@ class NodeExec {
         w->groups->Apply(acc, w->agg_main.data(), w->agg_aux.data());
       });
     });
-    FlushRelaxed(w, depth, stride);
+    FlushRelaxed(w, stride);
   }
 
   /// CellAccessor over the current leaf.
@@ -1813,20 +1841,24 @@ class NodeExec {
   std::vector<bool> fused_pair_;
   uint32_t last_domain_size_ = 0;
   bool append_mode_ = false;
+  // Group-key words holding the last attribute (FlushRelaxed's patch set).
+  std::vector<size_t> last_vertex_words_;
   int64_t skew_threshold_ = 0;  // 0 = splitting disabled for this node
   uint64_t total_leaves_ = 0;
   uint64_t total_nodes_ = 0;
 
-  // Chunk-run state (PrepareChunks / RunChunk / FoldChunks). root_values_,
-  // grain_, and chunk layout are written once in PrepareChunks and
-  // read-only during chunk runs; chunk_out_ elements are written by exactly
-  // one RunChunk each.
+  // Chunk-run state (PrepareChunks / RunChunk / AbsorbWorkers / Partials).
+  // root_values_, grain_, and chunk layout are written once in
+  // PrepareChunks and read-only during chunk runs; chunk_out_ and
+  // chunk_pool_ elements are written by exactly one RunChunk each.
   size_t key_width_ = 0;
   std::unique_ptr<Worker> seed_;
   std::vector<uint32_t> root_values_;
   int64_t grain_ = 1;
   int64_t num_chunks_ = 0;
   std::vector<std::unique_ptr<GroupAccum>> chunk_out_;
+  std::vector<ThreadPool*> chunk_pool_;
+  std::unique_ptr<GroupAccum> merged_;  // hash mode: the chunk-order merge
   Mutex scratch_mu_{LockRank::kExecScratch};
   std::vector<std::unique_ptr<Worker>> free_workers_
       LH_GUARDED_BY(scratch_mu_);
@@ -2012,7 +2044,9 @@ struct ScanState {
       if (p != nullptr) total.MergeFrom(*p);
     }
     timing->exec_ms += t.ElapsedMillis();
-    QueryResult result = MaterializeGroups(plan, total, dim_infos);
+    LH_ASSIGN_OR_RETURN(QueryResult result,
+                        MaterializeGroups(plan, {GroupPartial{&total}},
+                                          dim_infos, guard));
     if (qobs != nullptr) {
       qobs->stats.CountTuplesEmitted(result.num_rows);
       qobs->node_tuples.assign(1, result.num_rows);
@@ -2175,16 +2209,20 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
   span.SetDetail(plan.dense == DenseKernel::kGemm ? "gemm" : "gemv");
   span.AddMetric("m", static_cast<double>(m));
   span.AddMetric("k", static_cast<double>(kk));
+  const int64_t nn =
+      plan.dense == DenseKernel::kGemm
+          ? catalog.GetDomain(plan.query.vertices[vb].domain)->size()
+          : 1;
   // The BLAS kernels are not interruptible; the last poll is just before
-  // dispatch, after the (cacheable) buffer builds.
-  if (guard != nullptr) LH_RETURN_NOT_OK(guard->Check());
+  // dispatch, after the (cacheable) buffer builds. The row bound is known
+  // up front (m x nn), so it is checked before the output is allocated.
+  if (guard != nullptr) {
+    LH_RETURN_NOT_OK(guard->Check());
+    LH_RETURN_NOT_OK(guard->CheckRows(static_cast<size_t>(m * nn)));
+  }
   QueryResult result;
   std::vector<double> out_values;
-  int64_t nn = 1;
   if (plan.dense == DenseKernel::kGemm) {
-    const Dictionary* dom_b =
-        catalog.GetDomain(plan.query.vertices[vb].domain);
-    nn = dom_b->size();
     out_values.resize(m * nn);
     Gemm(m, nn, kk, abuf->data(), bbuf->data(), out_values.data());
   } else {
@@ -2236,10 +2274,10 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
 /// Phase-split join execution: Prepare builds tries, runs the Yannakakis
 /// semijoin children, and computes the root node's chunk layout — all on
 /// the calling thread; RunChunk executes one root chunk (thread-safe for
-/// distinct chunks); Gather folds partials in chunk order and
-/// materializes. ExecuteJoin drives the chunks through the global pool;
-/// the sharded router (ChunkedPlanExec) drives the same chunks from its
-/// lane pools — identical boundaries and fold order keep results
+/// distinct chunks); Gather hands the partials, in chunk order, to
+/// MaterializeGroups. ExecuteJoin drives the chunks through the global
+/// pool; the sharded router (ChunkedPlanExec) drives the same chunks from
+/// its lane pools — identical boundaries and merge order keep results
 /// bit-identical either way.
 struct JoinState {
   JoinState(const PhysicalPlan& p, const Catalog& c, TrieCache* tc,
@@ -2369,8 +2407,11 @@ struct JoinState {
     root->RunChunk(chunk, pool);
   }
 
+  /// The parallel region is over when this runs: the wcoj span ends
+  /// first, and everything after it — the hash-mode merge and the
+  /// (possibly pooled) decode — is the materialize span.
   Result<QueryResult> Gather() {
-    GroupAccum groups = root->FoldChunks();
+    root->AbsorbWorkers();
     LH_RETURN_NOT_OK(root->abort_status());
     if (qobs != nullptr) {
       qobs->node_tuples[0] = root->leaves();
@@ -2383,11 +2424,12 @@ struct JoinState {
 
     WallTimer mt;
     obs::TraceSpan mat_span(trace, "materialize");
-    QueryResult result = MaterializeGroups(plan, groups, dim_infos);
-    mat_span.AddMetric("rows", static_cast<double>(result.num_rows));
-    mat_span.End();
+    Result<QueryResult> result = MaterializeGroups(
+        plan, root->Partials(), dim_infos, guard, &mat_span);
     timing->exec_ms += mt.ElapsedMillis();
-    result.timing = *timing;
+    if (!result.ok()) return result;
+    mat_span.AddMetric("rows", static_cast<double>(result.value().num_rows));
+    result.value().timing = *timing;
     return result;
   }
 
@@ -2460,13 +2502,10 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
       : plan.dense != DenseKernel::kNone
           ? ExecuteDense(plan, catalog, cache, timing, qobs, guard)
           : ExecuteJoin(plan, catalog, cache, timing, qobs, guard);
+  // The authoritative row bound (the pre-ORDER/LIMIT row count) was checked
+  // by each path before allocating its output; the in-flight checks during
+  // accumulation are per-worker backstops and can undercount across workers.
   if (result.ok()) {
-    // Authoritative row bound: the materialized (pre-ORDER/LIMIT) row
-    // count — the in-flight checks during accumulation are per-worker
-    // backstops and can undercount across workers.
-    if (guard != nullptr) {
-      LH_RETURN_NOT_OK(guard->CheckRows(result.value().num_rows));
-    }
     WallTimer t;
     ApplyOrderAndLimit(plan.query, &result.value());
     timing->exec_ms += t.ElapsedMillis();
@@ -2480,11 +2519,10 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
 // ---------------------------------------------------------------------------
 
 struct ChunkedPlanExec::Impl {
-  Impl(const PhysicalPlan& p, QueryResult::Timing* tm, const QueryGuard* g)
-      : plan(p), timing(tm), guard(g) {}
+  Impl(const PhysicalPlan& p, QueryResult::Timing* tm)
+      : plan(p), timing(tm) {}
   const PhysicalPlan& plan;
   QueryResult::Timing* timing;
-  const QueryGuard* guard;
   std::unique_ptr<ScanState> scan;
   std::unique_ptr<JoinState> join;
   int64_t num_chunks = 0;
@@ -2506,7 +2544,7 @@ Result<std::unique_ptr<ChunkedPlanExec>> ChunkedPlanExec::Prepare(
   // Private ctor keeps construction behind Prepare.
   std::unique_ptr<ChunkedPlanExec> exec(
       new ChunkedPlanExec());  // lint: allow(naked-new)
-  exec->impl_ = std::make_unique<Impl>(plan, timing, guard);
+  exec->impl_ = std::make_unique<Impl>(plan, timing);
   if (plan.scan_only) {
     exec->impl_->scan =
         std::make_unique<ScanState>(plan, catalog, timing, qobs, guard);
@@ -2536,11 +2574,8 @@ Result<QueryResult> ChunkedPlanExec::Gather() {
                                    ? impl_->scan->Gather()
                                    : impl_->join->Gather();
   if (result.ok()) {
-    // The same tail ExecutePlan applies: the authoritative row bound on the
-    // materialized count, then ORDER BY / LIMIT.
-    if (impl_->guard != nullptr) {
-      LH_RETURN_NOT_OK(impl_->guard->CheckRows(result.value().num_rows));
-    }
+    // The same tail ExecutePlan applies: ORDER BY / LIMIT (the row bound
+    // was checked inside Gather, before the output was allocated).
     WallTimer t;
     ApplyOrderAndLimit(impl_->plan.query, &result.value());
     impl_->timing->exec_ms += t.ElapsedMillis();

@@ -34,7 +34,8 @@ struct QueryObs;
 /// `guard`, when non-null, is polled cooperatively at adaptive-grain
 /// boundaries (core/cancel.h): deadline/cancel unwinds with
 /// kDeadlineExceeded / kCancelled, and the max_result_rows bound is
-/// enforced during accumulation and on the materialized result.
+/// enforced during accumulation and on the final row count, before the
+/// output columns are allocated.
 [[nodiscard]] Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
                                 const Catalog& catalog, TrieCache* cache,
                                 QueryResult::Timing* timing,
@@ -52,9 +53,10 @@ struct QueryObs;
 /// serial setup (trie builds, semijoin children, root-set computation) on
 /// the calling thread, RunChunk executes one chunk (thread-safe for
 /// distinct chunks; `pool` receives nested skew-split sub-tasks), and
-/// Gather folds the partials in chunk order, materializes, and applies the
-/// same row-bound check and ORDER BY / LIMIT tail as ExecutePlan — so a
-/// scattered run returns byte-for-byte the single-engine answer.
+/// Gather merges the partials in chunk order, materializes (decoding on the
+/// pools the chunks ran on), and applies the same row-bound check and
+/// ORDER BY / LIMIT tail as ExecutePlan — so a scattered run returns
+/// byte-for-byte the single-engine answer.
 ///
 /// Lifetime: `plan`, `catalog`, `timing`, `qobs`, and `guard` must outlive
 /// the handle. Run every chunk at most once, then call Gather exactly once.
@@ -83,9 +85,9 @@ class ChunkedPlanExec {
   /// heavy root value are submitted to `pool`.
   void RunChunk(int64_t chunk, ThreadPool& pool);
 
-  /// Folds per-chunk partials in chunk order and materializes the result
+  /// Merges per-chunk partials in chunk order and materializes the result
   /// (or the recorded abort status). Call once, after all RunChunk calls
-  /// have returned.
+  /// have returned, while the pools they ran on are alive.
   [[nodiscard]] Result<QueryResult> Gather();
 
  private:

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 
+#include "core/cancel.h"
 #include "core/expr_eval.h"
+#include "obs/trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace levelheaded {
 
@@ -125,17 +130,52 @@ void GroupAccum::MergeFrom(const GroupAccum& other) {
 }
 
 void GroupAccum::ConcatFrom(const GroupAccum& other) {
-  size_t start = 0;
-  if (num_groups() > 0 && other.num_groups() > 0 &&
-      std::memcmp(key(num_groups() - 1), other.key(0),
-                  key_width_ * sizeof(uint64_t)) == 0) {
-    CombineInto(accs_.data() + (num_groups() - 1) * stride_, other.accs(0));
-    start = 1;
-  }
+  const size_t start =
+      num_groups() > 0 && other.num_groups() > 0 &&
+              CombineBoundary(num_groups() - 1, other)
+          ? 1
+          : 0;
   for (size_t g = start; g < other.num_groups(); ++g) {
     AppendGroup(other.key(g));
     std::memcpy(accs_.data() + (num_groups() - 1) * stride_, other.accs(g),
                 stride_ * sizeof(double));
+  }
+}
+
+bool GroupAccum::CombineBoundary(size_t g, const GroupAccum& next) {
+  if (std::memcmp(key(g), next.key(0), key_width_ * sizeof(uint64_t)) != 0) {
+    return false;
+  }
+  CombineInto(acc_mut(g), next.accs(0));
+  return true;
+}
+
+void GroupAccum::AppendRun(uint64_t* key, const std::vector<size_t>& patch,
+                           const uint32_t* values, size_t n,
+                           const double* rows) {
+  if (n == 0) return;
+  size_t i = 0;
+  for (size_t d : patch) key[d] = values[0];
+  const size_t last = num_groups();
+  if (last > 0 && std::memcmp(this->key(last - 1), key,
+                              key_width_ * sizeof(uint64_t)) == 0) {
+    CombineInto(acc_mut(last - 1),
+                rows + static_cast<size_t>(values[0]) * stride_);
+    i = 1;
+  }
+  // One resize per run: vector growth is geometric, so the table reserves
+  // ahead of later runs instead of growing group by group.
+  keys_.resize(keys_.size() + (n - i) * key_width_);
+  accs_.resize(accs_.size() + (n - i) * stride_);
+  uint64_t* kout = keys_.data() + last * key_width_;
+  double* aout = accs_.data() + last * stride_;
+  for (; i < n; ++i) {
+    for (size_t d : patch) key[d] = values[i];
+    std::memcpy(kout, key, key_width_ * sizeof(uint64_t));
+    InitAccs(aout);
+    CombineInto(aout, rows + static_cast<size_t>(values[i]) * stride_);
+    kout += key_width_;
+    aout += stride_;
   }
 }
 
@@ -156,6 +196,17 @@ void GroupAccum::CombineInto(double* acc, const double* oa) const {
   }
 }
 
+void GroupAccum::InitAccs(double* acc) const {
+  for (size_t i = 0; i < stride_; ++i) acc[i] = 0.0;
+  for (size_t i = 0; i < aggs_->size(); ++i) {
+    if ((*aggs_)[i].func == AggFunc::kMin) {
+      acc[2 * i] = std::numeric_limits<double>::infinity();
+    } else if ((*aggs_)[i].func == AggFunc::kMax) {
+      acc[2 * i] = -std::numeric_limits<double>::infinity();
+    }
+  }
+}
+
 void GroupAccum::AppendGroup(const uint64_t* key) {
   if (key_width_ > 0) {
     keys_.insert(keys_.end(), key, key + key_width_);
@@ -163,14 +214,8 @@ void GroupAccum::AppendGroup(const uint64_t* key) {
     ++scalar_groups_;
   }
   const size_t base = accs_.size();
-  accs_.resize(base + stride_, 0.0);
-  for (size_t i = 0; i < aggs_->size(); ++i) {
-    if ((*aggs_)[i].func == AggFunc::kMin) {
-      accs_[base + 2 * i] = std::numeric_limits<double>::infinity();
-    } else if ((*aggs_)[i].func == AggFunc::kMax) {
-      accs_[base + 2 * i] = -std::numeric_limits<double>::infinity();
-    }
-  }
+  accs_.resize(base + stride_);
+  InitAccs(accs_.data() + base);
 }
 
 namespace {
@@ -300,108 +345,275 @@ bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
   return EvalOutputExpr(e, plan, groups, dim_infos, g) != 0;
 }
 
-QueryResult MaterializeGroups(const PhysicalPlan& plan,
-                              const GroupAccum& groups,
-                              const std::vector<DimInfo>& dim_infos) {
-  QueryResult result;
-  // HAVING: select surviving groups first.
-  std::vector<size_t> rows;
-  rows.reserve(groups.num_groups());
-  for (size_t g = 0; g < groups.num_groups(); ++g) {
-    if (plan.query.having == nullptr ||
-        EvalHaving(*plan.query.having, plan, groups, dim_infos, g)) {
-      rows.push_back(g);
+namespace {
+
+/// Where one output column's values come from, resolved once per query so
+/// the decode loops switch per column rather than per row.
+enum class OutSource : uint8_t {
+  kIntCode,     // key vertex over an integer domain (dictionary decode)
+  kStringCode,  // string dictionary code, kept encoded
+  kString,      // string dictionary code, decoded to text
+  kIntWord,     // integer or date key word
+  kRealWord,    // bit-cast double key word
+  kAgg,         // finalized aggregate slot
+  kExpr,        // post-aggregation output expression
+};
+
+struct OutColumn {
+  OutSource source = OutSource::kExpr;
+  size_t index = 0;  // group dimension or aggregate slot
+  const Dictionary* dict = nullptr;
+  const Expr* expr = nullptr;
+};
+
+/// Resolves output item `out` and types its column.
+OutColumn ResolveOutput(const OutputItem& out, const PhysicalPlan& plan,
+                        const std::vector<DimInfo>& dim_infos,
+                        ResultColumn* col) {
+  OutColumn oc;
+  col->type = ValueType::kDouble;
+  if (out.direct_group_index < 0) {
+    if (out.direct_agg_slot >= 0) {
+      oc.source = OutSource::kAgg;
+      oc.index = static_cast<size_t>(out.direct_agg_slot);
+    } else {
+      oc.expr = out.expr.get();
+    }
+    return oc;
+  }
+  oc.index = static_cast<size_t>(out.direct_group_index);
+  const DimInfo& info = dim_infos[oc.index];
+  oc.dict = info.dict;
+  switch (info.kind) {
+    case DimKind::kKeyVertex:
+      if (info.dict->type() != ValueType::kString) {
+        col->type = ValueType::kInt64;
+        oc.source = OutSource::kIntCode;
+        break;
+      }
+      [[fallthrough]];
+    case DimKind::kStringCode:
+      col->type = ValueType::kString;
+      if (plan.options.keep_strings_encoded) {
+        col->dict = info.dict;
+        oc.source = OutSource::kStringCode;
+      } else {
+        oc.source = OutSource::kString;
+      }
+      break;
+    case DimKind::kInt:
+    case DimKind::kDate:
+      col->type =
+          info.kind == DimKind::kDate ? ValueType::kDate : ValueType::kInt64;
+      oc.source = OutSource::kIntWord;
+      break;
+    case DimKind::kReal:
+      oc.source = OutSource::kRealWord;
+      break;
+  }
+  return oc;
+}
+
+void SizeColumn(OutSource source, size_t n, ResultColumn* col) {
+  switch (source) {
+    case OutSource::kIntCode:
+    case OutSource::kIntWord:
+      col->ints.resize(n);
+      break;
+    case OutSource::kStringCode:
+      col->codes.resize(n);
+      break;
+    case OutSource::kString:
+      col->strs.resize(n);
+      break;
+    default:
+      col->reals.resize(n);
+      break;
+  }
+}
+
+/// The rows one partial contributes: groups [first, num_groups) — `first`
+/// is 1 when its leading group was combined across the boundary — or,
+/// under HAVING, the surviving subset `keep`. They land at `offset`.
+struct PartialRows {
+  size_t first = 0;
+  std::vector<uint32_t> keep;
+  size_t offset = 0;
+};
+
+/// Decodes one partial's rows into their slice of `result`'s columns.
+void DecodePartial(const PhysicalPlan& plan,
+                   const std::vector<DimInfo>& dim_infos,
+                   const std::vector<OutColumn>& outs, const GroupAccum& groups,
+                   const PartialRows& rows, QueryResult* result) {
+  const bool having = plan.query.having != nullptr;
+  auto for_rows = [&](auto&& emit) {
+    size_t r = rows.offset;
+    if (having) {
+      for (uint32_t g : rows.keep) emit(r++, g);
+    } else {
+      for (size_t g = rows.first; g < groups.num_groups(); ++g) emit(r++, g);
+    }
+  };
+  for (size_t c = 0; c < outs.size(); ++c) {
+    const OutColumn& oc = outs[c];
+    ResultColumn& col = result->columns[c];
+    auto code = [&](size_t g) {
+      return static_cast<uint32_t>(groups.key(g)[oc.index]);
+    };
+    switch (oc.source) {
+      case OutSource::kIntCode:
+        for_rows([&](size_t r, size_t g) {
+          col.ints[r] = oc.dict->DecodeInt(code(g));
+        });
+        break;
+      case OutSource::kStringCode:
+        for_rows([&](size_t r, size_t g) { col.codes[r] = code(g); });
+        break;
+      case OutSource::kString:
+        for_rows([&](size_t r, size_t g) {
+          col.strs[r] = oc.dict->DecodeString(code(g));
+        });
+        break;
+      case OutSource::kIntWord:
+        for_rows([&](size_t r, size_t g) {
+          col.ints[r] = static_cast<int64_t>(groups.key(g)[oc.index]);
+        });
+        break;
+      case OutSource::kRealWord:
+        for_rows([&](size_t r, size_t g) {
+          col.reals[r] = UnbitcastDouble(groups.key(g)[oc.index]);
+        });
+        break;
+      case OutSource::kAgg:
+        for_rows([&](size_t r, size_t g) {
+          col.reals[r] = groups.Finalize(g, oc.index);
+        });
+        break;
+      case OutSource::kExpr:
+        for_rows([&](size_t r, size_t g) {
+          col.reals[r] = EvalOutputExpr(*oc.expr, plan, groups, dim_infos, g);
+        });
+        break;
     }
   }
-  const size_t n = rows.size();
-  result.num_rows = n;
+}
+
+bool DecodeInParallel(size_t rows, size_t num_partials) {
+  return rows >= kParallelDecodeRows && num_partials > 1;
+}
+
+/// Runs fn(i) for every i < pools.size(): one task each on pools[i] when
+/// `parallel` (the caller helps while it waits, so this never takes a
+/// pool's ParallelChunks phase lock; a null pool runs its task inline),
+/// else in order on the calling thread. Tasks must touch disjoint data.
+void ForEachTask(const std::vector<ThreadPool*>& pools, bool parallel,
+                 const std::function<void(size_t)>& fn) {
+  if (!parallel) {
+    for (size_t i = 0; i < pools.size(); ++i) fn(i);
+    return;
+  }
+  // One TaskGroup per distinct pool: a sharded run spreads its chunks, and
+  // hence their partials, over several lane pools.
+  std::vector<std::pair<ThreadPool*, std::unique_ptr<ThreadPool::TaskGroup>>>
+      groups;
+  for (size_t i = 0; i < pools.size(); ++i) {
+    ThreadPool* pool = pools[i];
+    if (pool == nullptr) {
+      fn(i);
+      continue;
+    }
+    ThreadPool::TaskGroup* group = nullptr;
+    for (const auto& [gp, g] : groups) {
+      if (gp == pool) group = g.get();
+    }
+    if (group == nullptr) {
+      groups.emplace_back(pool, std::make_unique<ThreadPool::TaskGroup>(pool));
+      group = groups.back().second.get();
+    }
+    pool->Submit(group, [&fn, i] { fn(i); });
+  }
+  for (const auto& [gp, g] : groups) g->Wait();
+}
+
+}  // namespace
+
+Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
+                                      const std::vector<GroupPartial>& partials,
+                                      const std::vector<DimInfo>& dim_infos,
+                                      const QueryGuard* guard,
+                                      obs::TraceSpan* span) {
+  const size_t np = partials.size();
+  std::vector<ThreadPool*> pools(np);
+  for (size_t p = 0; p < np; ++p) pools[p] = partials[p].pool;
+  std::vector<PartialRows> rows(np);
+  // Boundary merge, one serial pass in partial order: a leading group equal
+  // to the previous non-empty partial's last group folds into that group's
+  // owner — the same combines, in the same order, as ConcatFrom.
+  GroupAccum* owner = nullptr;
+  size_t owner_g = 0;
+  size_t candidates = 0;
+  for (size_t p = 0; p < np; ++p) {
+    GroupAccum& t = *partials[p].groups;
+    const size_t n = t.num_groups();
+    if (n == 0) continue;
+    if (owner != nullptr && owner->CombineBoundary(owner_g, t)) {
+      rows[p].first = 1;
+    }
+    candidates += n - rows[p].first;
+    if (rows[p].first == n) continue;  // its only group joined the owner's
+    owner = &t;
+    owner_g = n - 1;
+  }
+
+  // HAVING survivors per partial, prefix-summed into row offsets.
+  const Expr* having = plan.query.having.get();
+  if (having != nullptr) {
+    ForEachTask(pools, DecodeInParallel(candidates, np), [&](size_t p) {
+      const GroupAccum& t = *partials[p].groups;
+      for (size_t g = rows[p].first; g < t.num_groups(); ++g) {
+        if (EvalHaving(*having, plan, t, dim_infos, g)) {
+          rows[p].keep.push_back(static_cast<uint32_t>(g));
+        }
+      }
+    });
+  }
+  size_t total = 0;
+  for (size_t p = 0; p < np; ++p) {
+    rows[p].offset = total;
+    total += having != nullptr
+                 ? rows[p].keep.size()
+                 : partials[p].groups->num_groups() - rows[p].first;
+  }
+
+  // The row bound, before a single output byte is allocated.
+  if (guard != nullptr) LH_RETURN_NOT_OK(guard->CheckRows(total));
+
+  QueryResult result;
+  result.num_rows = total;
+  std::vector<OutColumn> outs;
   for (const OutputItem& out : plan.query.outputs) {
     ResultColumn col;
     col.name = out.name;
-    if (out.direct_group_index >= 0) {
-      const size_t d = out.direct_group_index;
-      const DimInfo& info = dim_infos[d];
-      switch (info.kind) {
-        case DimKind::kKeyVertex: {
-          if (info.dict->type() == ValueType::kString) {
-            col.type = ValueType::kString;
-            if (plan.options.keep_strings_encoded) {
-              col.dict = info.dict;
-              col.codes.reserve(n);
-              for (size_t r = 0; r < n; ++r) {
-                col.codes.push_back(
-                    static_cast<uint32_t>(groups.key(rows[r])[d]));
-              }
-              break;
-            }
-            col.strs.reserve(n);
-            for (size_t r = 0; r < n; ++r) {
-              col.strs.push_back(info.dict->DecodeString(
-                  static_cast<uint32_t>(groups.key(rows[r])[d])));
-            }
-          } else {
-            col.type = ValueType::kInt64;
-            col.ints.reserve(n);
-            for (size_t r = 0; r < n; ++r) {
-              col.ints.push_back(info.dict->DecodeInt(
-                  static_cast<uint32_t>(groups.key(rows[r])[d])));
-            }
-          }
-          break;
-        }
-        case DimKind::kStringCode: {
-          col.type = ValueType::kString;
-          if (plan.options.keep_strings_encoded) {
-            col.dict = info.dict;
-            col.codes.reserve(n);
-            for (size_t r = 0; r < n; ++r) {
-              col.codes.push_back(
-                  static_cast<uint32_t>(groups.key(rows[r])[d]));
-            }
-            break;
-          }
-          col.strs.reserve(n);
-          for (size_t r = 0; r < n; ++r) {
-            col.strs.push_back(info.dict->DecodeString(
-                static_cast<uint32_t>(groups.key(rows[r])[d])));
-          }
-          break;
-        }
-        case DimKind::kInt:
-        case DimKind::kDate: {
-          col.type = info.kind == DimKind::kDate ? ValueType::kDate
-                                                 : ValueType::kInt64;
-          col.ints.reserve(n);
-          for (size_t r = 0; r < n; ++r) {
-            col.ints.push_back(
-                static_cast<int64_t>(groups.key(rows[r])[d]));
-          }
-          break;
-        }
-        case DimKind::kReal: {
-          col.type = ValueType::kDouble;
-          col.reals.reserve(n);
-          for (size_t r = 0; r < n; ++r) {
-            col.reals.push_back(UnbitcastDouble(groups.key(rows[r])[d]));
-          }
-          break;
-        }
-      }
-    } else if (out.direct_agg_slot >= 0) {
-      col.type = ValueType::kDouble;
-      col.reals.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        col.reals.push_back(groups.Finalize(rows[r], out.direct_agg_slot));
-      }
-    } else {
-      col.type = ValueType::kDouble;
-      col.reals.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        col.reals.push_back(
-            EvalOutputExpr(*out.expr, plan, groups, dim_infos, rows[r]));
-      }
-    }
+    outs.push_back(ResolveOutput(out, plan, dim_infos, &col));
     result.columns.push_back(std::move(col));
+  }
+  // Sizing zero-fills fresh pages, which on a large result costs about as
+  // much as the decode, so a parallel materialize sizes its columns as
+  // tasks too.
+  const bool parallel = DecodeInParallel(total, np);
+  const std::vector<ThreadPool*> column_pools(outs.size(),
+                                              parallel ? pools[0] : nullptr);
+  ForEachTask(column_pools, parallel, [&](size_t c) {
+    SizeColumn(outs[c].source, total, &result.columns[c]);
+  });
+  ForEachTask(pools, parallel, [&](size_t p) {
+    DecodePartial(plan, dim_infos, outs, *partials[p].groups, rows[p],
+                  &result);
+  });
+  if (span != nullptr) {
+    span->AddMetric("chunks", static_cast<double>(np));
+    span->AddMetric("parallel", parallel ? 1 : 0);
   }
   return result;
 }

@@ -15,8 +15,16 @@
 #include "core/plan.h"
 #include "core/result.h"
 #include "storage/table.h"
+#include "util/status.h"
 
 namespace levelheaded {
+
+class ThreadPool;
+struct QueryGuard;
+
+namespace obs {
+class TraceSpan;
+}  // namespace obs
 
 uint64_t BitcastDouble(double d);
 double UnbitcastDouble(uint64_t u);
@@ -69,6 +77,14 @@ class GroupAccum {
   /// Applies one row's deltas (per-aggregate semiring op).
   void Apply(double* acc, const double* main_delta,
              const double* aux_delta) const;
+  /// Append-mode flush of one sorted run: for each i, the group `key` with
+  /// every word in `patch` set to `values[i]` absorbs the accumulator row
+  /// `rows + values[i] * stride` (main/aux pairs, as Apply's deltas). `values` is strictly
+  /// ascending and `patch` non-empty, so only the first value can land on
+  /// the current last group (AppendOrLast's rule); the rest append with one
+  /// table growth. `key` is scratch (its patched words are overwritten).
+  void AppendRun(uint64_t* key, const std::vector<size_t>& patch,
+                 const uint32_t* values, size_t n, const double* rows);
 
   /// Finalized value of aggregate `slot` for group `g` (AVG divides).
   double Finalize(size_t g, size_t slot) const;
@@ -76,6 +92,10 @@ class GroupAccum {
   void MergeFrom(const GroupAccum& other);
   /// Concatenates grouped tables arriving in global key order.
   void ConcatFrom(const GroupAccum& other);
+  /// The boundary rule of grouped concatenation: when `next`'s first key
+  /// equals group `g`'s key, combines next's first group into `g` and
+  /// returns true.
+  bool CombineBoundary(size_t g, const GroupAccum& next);
 
  private:
   struct U64VecHash {
@@ -89,7 +109,10 @@ class GroupAccum {
     }
   };
 
+  /// Combines accumulator row `oa` (this table's layout) into `acc`; the
+  /// same per-aggregate op as Apply with main/aux read from `oa`.
   void CombineInto(double* acc, const double* oa) const;
+  void InitAccs(double* acc) const;
   void AppendGroup(const uint64_t* key);
 
   size_t key_width_;
@@ -112,11 +135,33 @@ bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
                 const GroupAccum& groups,
                 const std::vector<DimInfo>& dim_infos, size_t g);
 
-/// Decodes a group table into the query's output columns, applying the
-/// query's HAVING filter when present.
-QueryResult MaterializeGroups(const PhysicalPlan& plan,
-                              const GroupAccum& groups,
-                              const std::vector<DimInfo>& dim_infos);
+/// Output rows at or above which MaterializeGroups decodes its partials
+/// as pool tasks, one per partial; smaller results decode on the calling
+/// thread. A function of the row count alone, never of the thread count.
+inline constexpr size_t kParallelDecodeRows = size_t{1} << 16;
+
+/// One partial group table and the pool its decode task runs on (nullptr:
+/// the calling thread).
+struct GroupPartial {
+  GroupAccum* groups = nullptr;
+  ThreadPool* pool = nullptr;
+};
+
+/// Decodes group tables into the query's output columns, applying the
+/// query's HAVING filter when present. `partials` is one table, or
+/// append-mode chunk partials in global key order: a partial whose first
+/// key equals the previous non-empty partial's last key has that group
+/// combined into the earlier one first (ConcatFrom's boundary rule, in
+/// partial order), so the output — row order included — is bit-identical
+/// to decoding their concatenation. Each partial then decodes straight
+/// into its slice of the output columns. The row bound of `guard`
+/// (nullable) is checked on the post-HAVING row count before any output
+/// column is allocated. `span` (nullable) receives the `chunks` and
+/// `parallel` metrics.
+[[nodiscard]] Result<QueryResult> MaterializeGroups(
+    const PhysicalPlan& plan, const std::vector<GroupPartial>& partials,
+    const std::vector<DimInfo>& dim_infos, const QueryGuard* guard = nullptr,
+    obs::TraceSpan* span = nullptr);
 
 /// Applies ORDER BY and LIMIT to a materialized result (all engines share
 /// this final step).

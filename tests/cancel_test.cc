@@ -163,6 +163,36 @@ TEST_F(CancelTest, MaxResultRowsCapsJoinOutput) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+// An SMM-shaped join (append-mode GROUP BY over both key vertices): the
+// bound applies to the exact output row count, checked before the result
+// columns are allocated — one row over fails, an exact fit passes.
+TEST_F(CancelTest, MaxResultRowsBoundsAppendModeJoinExactly) {
+  constexpr char kSmm[] =
+      "SELECT e1.src, e2.dst, sum(e1.w * e2.w) FROM edge e1, edge e2 "
+      "WHERE e1.dst = e2.src GROUP BY e1.src, e2.dst";
+  size_t rows = 0;
+  {
+    Engine engine(&catalog_);
+    auto unbounded = engine.Query(kSmm);
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+    rows = unbounded.value().num_rows;
+  }
+  ASSERT_GT(rows, 1u);
+  EngineOptions limits;
+  limits.max_result_rows = rows - 1;
+  {
+    Engine engine(&catalog_, limits);
+    auto result = engine.Query(kSmm);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  }
+  limits.max_result_rows = rows;
+  Engine engine(&catalog_, limits);
+  auto result = engine.Query(kSmm);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().num_rows, rows);
+}
+
 TEST_F(CancelTest, MaxResultRowsIgnoresAggregates) {
   EngineOptions limits;
   limits.max_result_rows = 8;

@@ -9,6 +9,9 @@
 //   - bit-identical query results across LH_THREADS ∈ {1, 2, 8} on a
 //     skewed graph where one hub owns most of the tuples (the shape that
 //     triggers heavy-root task splitting);
+//   - order-sensitive bit identity of append-mode SMM/SMV results across
+//     thread counts and shard lanes, on both sides of the parallel-decode
+//     row threshold;
 //   - a nested-parallelism stress: ParallelChunks workers fanning out
 //     Submit/Wait sub-tasks concurrently.
 //
@@ -23,8 +26,10 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/group_accum.h"
 #include "obs/profile.h"
 #include "set/intersect.h"
+#include "shard/sharded_engine.h"
 #include "set/set.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -327,6 +332,116 @@ TEST_F(ThreadCountDifferentialTest, SkewSplitterEngagesOnHubRoot) {
   const obs::StatsSnapshot& c = r.value().profile->counters;
   EXPECT_GT(c.exec_skew_splits, 0u);
   EXPECT_GT(c.pool_tasks_spawned, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Append-mode output order: SMM / SMV results compared *unsorted*.
+
+// A sparse matrix whose SMM has well over kParallelDecodeRows output rows
+// (so the materializer decodes chunk partials as pool tasks) while its SMV
+// stays below the threshold (decoded on the calling thread).
+class AppendModeOrderTest : public ::testing::Test {
+ protected:
+  static constexpr int kN = 3000;
+  static constexpr int kPerRow = 8;
+  static constexpr const char* kSmm =
+      "SELECT m1.r, m2.c, sum(m1.v * m2.v) FROM m m1, m m2 "
+      "WHERE m1.c = m2.r GROUP BY m1.r, m2.c";
+  static constexpr const char* kSmv =
+      "SELECT m.r, sum(m.v * x.val) FROM m, x WHERE m.c = x.i GROUP BY m.r";
+
+  void SetUp() override {
+    Rng rng(0x5AA7E5);
+    Table* m = catalog_
+                   .CreateTable(TableSchema(
+                       "m", {ColumnSpec::Key("r", ValueType::kInt64, "idx"),
+                             ColumnSpec::Key("c", ValueType::kInt64, "idx"),
+                             ColumnSpec::Annotation("v", ValueType::kDouble)}))
+                   .ValueOrDie();
+    for (int r = 0; r < kN; ++r) {
+      for (int e = 0; e < kPerRow; ++e) {
+        // Magnitude-varying values: summation order shows up in the bits.
+        ASSERT_TRUE(
+            m->AppendRow({Value::Int(r), Value::Int(rng.Uniform(kN)),
+                          Value::Real(rng.UniformDouble(-1, 1) *
+                                      (1 + (r % 11) * 1e4))})
+                .ok());
+      }
+    }
+    Table* x = catalog_
+                   .CreateTable(TableSchema(
+                       "x", {ColumnSpec::Key("i", ValueType::kInt64, "idx"),
+                             ColumnSpec::Annotation("val",
+                                                    ValueType::kDouble)}))
+                   .ValueOrDie();
+    for (int i = 0; i < kN; ++i) {
+      ASSERT_TRUE(
+          x->AppendRow({Value::Int(i), Value::Real(rng.UniformDouble())})
+              .ok());
+    }
+    ASSERT_TRUE(catalog_.Finalize().ok());
+  }
+
+  void TearDown() override { ThreadPool::SetGlobalThreadsForTesting(0); }
+
+  /// The materialize span's `parallel` metric of one analyzed run.
+  static double DecodedInParallel(const QueryResult& r) {
+    for (const obs::SpanRecord& s : r.profile->spans) {
+      if (s.name != "materialize") continue;
+      for (const auto& [name, value] : s.metrics) {
+        if (name == "parallel") return value;
+      }
+    }
+    return -1;
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(AppendModeOrderTest, UnsortedResultsBitIdenticalAcrossThreadCounts) {
+  std::vector<QueryResult> reference;
+  ThreadPool::SetGlobalThreadsForTesting(1);
+  {
+    Engine engine(&catalog_);
+    for (const char* q : {kSmm, kSmv}) {
+      auto r = engine.QueryAnalyze(q);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      reference.push_back(std::move(r).value());
+    }
+  }
+  // The two queries sit on opposite sides of the decode threshold.
+  ASSERT_GE(reference[0].num_rows, kParallelDecodeRows);
+  ASSERT_LT(reference[1].num_rows, kParallelDecodeRows);
+  EXPECT_EQ(DecodedInParallel(reference[0]), 1);
+  EXPECT_EQ(DecodedInParallel(reference[1]), 0);
+  // Append-mode output arrives in key order: row order is part of the
+  // contract, so nothing is sorted before comparing.
+  for (int threads : {2, 8}) {
+    ThreadPool::SetGlobalThreadsForTesting(threads);
+    Engine engine(&catalog_);
+    int i = 0;
+    for (const char* q : {kSmm, kSmv}) {
+      auto r = engine.Query(q);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      ExpectBitIdentical(reference[i++], r.value(),
+                         std::string(q) + " @ " + std::to_string(threads) +
+                             " threads");
+    }
+  }
+  // Scattered over shard lanes, each partial decodes on the lane pool its
+  // chunk ran on; the answer must not move.
+  ThreadPool::SetGlobalThreadsForTesting(4);
+  shard::ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.threads_per_lane = 2;
+  shard::ShardedEngine sharded(&catalog_, options);
+  int i = 0;
+  for (const char* q : {kSmm, kSmv}) {
+    auto r = sharded.Query(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    ExpectBitIdentical(reference[i++], r.value(),
+                       std::string(q) + " over 2 shard lanes");
+  }
 }
 
 // The partitioned trie build (engaged above ~16k rows regardless of pool
