@@ -21,6 +21,7 @@
 #include "util/date.h"
 #include "la/dense.h"
 #include "set/intersect.h"
+#include "util/bits.h"
 #include "util/logging.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -648,6 +649,10 @@ struct Participant {
   int slot;       // relation slot (non-child) or child index (child)
   int level;      // trie level bound at this attribute position
   bool is_child;  // child-node result set
+  // TrieLevel::full_size() of an eager full level, else 0. Lazy levels
+  // count as sparse: set() is what materializes their payload.
+  uint32_t full_size = 0;
+  const TrieLevel* trie_level = nullptr;  // the bound level (non-child)
 };
 
 class NodeExec {
@@ -677,8 +682,10 @@ class NodeExec {
       const RelationPlan& rp = node_.relations[s];
       if (rp.rel >= 0) {
         for (size_t l = 0; l < rp.levels_vertex.size(); ++l) {
+          const TrieLevel& level = rels_[s]->trie->level(static_cast<int>(l));
           participants_[PosOf(rp.levels_vertex[l])].push_back(
-              {static_cast<int>(s), static_cast<int>(l), false});
+              {static_cast<int>(s), static_cast<int>(l), false,
+               level.is_lazy() ? 0 : level.full_size(), &level});
         }
       } else {
         participants_[PosOf(rp.levels_vertex[0])].push_back(
@@ -738,22 +745,65 @@ class NodeExec {
       if (node_.relations[s].rel < 0) continue;
       if (!rels_[s]->unique_keys) all_unique_ = false;
     }
-    // Depth positions served by exactly one (non-child) relation iterate
-    // the relation's own set: the iteration rank is the trie rank, so the
-    // per-value Rank() lookup is unnecessary.
-    const int k2 = static_cast<int>(node_.attr_order.size());
-    direct_.assign(k2, false);
-    fused_pair_.assign(k2, false);
-    for (int d = 0; d < k2; ++d) {
-      direct_[d] = participants_[d].size() == 1 && !participants_[d][0].is_child;
-      fused_pair_[d] = participants_[d].size() == 2 &&
-                       !participants_[d][0].is_child &&
-                       !participants_[d][1].is_child;
+    // A relation level whose sets are all the whole domain (icost 0 in the
+    // cost model) is never intersected: it stays out of ComputeSet's gather
+    // and its rank is base_rank(set) + v (Descend). When every participant
+    // at a depth is full, the first one is iterated.
+    probe_.resize(k);
+    full_.resize(k);
+    direct_.assign(k, false);
+    for (int d = 0; d < k; ++d) {
+      for (const Participant& p : participants_[d]) {
+        (p.full_size > 0 ? full_[d] : probe_[d]).push_back(p);
+      }
+      if (probe_[d].empty() && !full_[d].empty()) {
+        probe_[d].push_back(full_[d].front());
+        full_[d].erase(full_[d].begin());
+      }
+      // A depth probed through exactly one (non-child) relation iterates
+      // that relation's own set: the iteration rank is the trie rank, so
+      // the per-value Rank() lookup is unnecessary.
+      direct_[d] = probe_[d].size() == 1 && !probe_[d][0].is_child;
+    }
+    const auto& last = participants_[k - 1];
+    fused_leaf_ = last.size() == 2 && !last[0].is_child && !last[1].is_child;
+    if (fused_leaf_) {
+      leaf_first_ = probe_[k - 1][0];
+      leaf_second_ = full_[k - 1].empty() ? probe_[k - 1][1] : full_[k - 1][0];
     }
     fast_single_sum_ = plan_.aggs.size() == 1 &&
                        plan_.aggs[0].func == AggFunc::kSum &&
                        !agg_prog_ok_.empty() && agg_prog_ok_[0] &&
                        all_unique_;
+    // The single SUM's real-product operands, resolved once for the loops
+    // that multiply annotation buffers directly.
+    int sa, la, sb, lb;
+    const double *pa, *pb;
+    if (fast_single_sum_ &&
+        agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb)) {
+      auto at = [](const Participant& p, int s, int l) {
+        return p.slot == s && p.level == l;
+      };
+      if (fused_leaf_ && at(leaf_first_, sa, la) && at(leaf_second_, sb, lb)) {
+        leaf_first_vals_ = pa;
+        leaf_second_vals_ = pb;
+      } else if (fused_leaf_ && at(leaf_first_, sb, lb) &&
+                 at(leaf_second_, sa, la)) {
+        leaf_first_vals_ = pb;
+        leaf_second_vals_ = pa;
+      }
+      if (node_.union_relaxed && last.size() == 1 && !last[0].is_child) {
+        if (at(last[0], sa, la)) {
+          relax_var_vals_ = pa;
+          relax_fixed_vals_ = pb;
+          relax_fixed_ = {sb, lb, false};
+        } else if (at(last[0], sb, lb)) {
+          relax_var_vals_ = pb;
+          relax_fixed_vals_ = pa;
+          relax_fixed_ = {sa, la, false};
+        }
+      }
+    }
   }
 
   void set_last_domain_size(uint32_t n) { last_domain_size_ = n; }
@@ -767,11 +817,11 @@ class NodeExec {
     const SetView* root = ComputeSet(&w, 0);
     if (root->empty()) return out;
     uint64_t iter = 0;
-    root->ForEach([&](uint32_t v, uint32_t) {
+    root->ForEach([&](uint32_t v, uint32_t r) {
       // ForEach has no break; after an abort the remaining values fall
       // through the one-flag-load fast path.
       if (guard_active_ && PollAbort(iter++, /*rows_sofar=*/0)) return;
-      if (!Descend(&w, 0, v)) return;
+      if (!Descend(&w, 0, v, r)) return;
       if (node_.attr_order.size() == 1 || Satisfiable(&w, 1)) {
         out.push_back(v);
       }
@@ -810,6 +860,7 @@ class NodeExec {
     const SetView* root = ComputeSet(seed_.get(), 0);
     if (root->empty()) return;  // num_chunks_ stays 0
     root_values_ = root->ToVector();
+    root_base_ = seed_->single_base[0];
     const int64_t n = static_cast<int64_t>(root_values_.size());
     grain_ = AdaptiveGrain(n);
     num_chunks_ = (n + grain_ - 1) / grain_;
@@ -834,13 +885,15 @@ class NodeExec {
     const int64_t hi = std::min<int64_t>(
         static_cast<int64_t>(root_values_.size()), lo + grain_);
     const int k = static_cast<int>(node_.attr_order.size());
+    // root_values_ is the root set in order, so index i is the root rank.
+    w.single_base[0] = root_base_;
     for (int64_t i = lo; i < hi; ++i) {
       if (guard_active_ &&
           PollAbort(static_cast<uint64_t>(i - lo), w.groups->num_groups())) {
         break;
       }
       const uint32_t v = root_values_[i];
-      if (!Descend(&w, 0, v)) continue;
+      if (!Descend(&w, 0, v, static_cast<uint32_t>(i))) continue;
       w.vals[0] = v;
       if (k == 1) {
         Leaf(&w);
@@ -894,6 +947,8 @@ class NodeExec {
   uint64_t leaves() const { return total_leaves_; }
   /// Trie node descents across all runs on this node.
   uint64_t nodes_visited() const { return total_nodes_; }
+  /// Intersections and Rank() probes skipped on full levels, all runs.
+  uint64_t elided() const { return total_elided_; }
   /// OK, or why the last run unwound early (kCancelled / kDeadlineExceeded
   /// / kResourceExhausted). Callers must consult this before trusting a
   /// run's output.
@@ -915,7 +970,7 @@ class NodeExec {
     std::vector<double> rel_count;
     std::vector<SetView> gather;  // per-call set gathering
     std::vector<double> relax_acc;
-    std::vector<uint8_t> relax_occ;
+    std::vector<uint64_t> relax_occ;  // bitmap: relax_acc slot in use
     std::vector<uint32_t> relax_touched;
     std::vector<uint32_t> fused_vals, fused_ra, fused_rb;
     // Materialized level-1 values/ranks of a heavy root value while its
@@ -925,11 +980,13 @@ class NodeExec {
     // so the hot loops never touch atomics).
     uint64_t leaf_count = 0;
     uint64_t nodes_visited = 0;
+    uint64_t elided = 0;  // intersections and Rank() probes skipped
   };
 
   void AbsorbWorker(const Worker& w) {
     total_leaves_ += w.leaf_count;
     total_nodes_ += w.nodes_visited;
+    total_elided_ += w.elided;
   }
 
   /// Pops a scratch worker for a chunk run, or initializes a fresh one.
@@ -1004,6 +1061,12 @@ class NodeExec {
     return w.ranks[slot][level];
   }
 
+  /// Index of relation participant `p`'s current set: the rank of its
+  /// parent element (0 at the root level).
+  static uint32_t SetIndex(const Worker& w, const Participant& p) {
+    return p.level == 0 ? 0 : RankCursor(w, p.slot, p.level - 1);
+  }
+
   int PosOf(int vertex) const {
     for (size_t i = 0; i < node_.attr_order.size(); ++i) {
       if (node_.attr_order[i] == vertex) return static_cast<int>(i);
@@ -1031,27 +1094,23 @@ class NodeExec {
     w->rel_count.assign(node_.relations.size(), 1.0);
   }
 
+  /// The values at `depth`: the intersection of the probed participants'
+  /// sets. Full levels are left out (each one an intersection elided);
+  /// Descend drops the values a full level lacks.
   const SetView* ComputeSet(Worker* w, int depth) const {
-    const auto& parts = participants_[depth];
+    const auto& parts = probe_[depth];
     LH_CHECK(!parts.empty()) << "attribute with no participating relation";
+    w->elided += full_[depth].size();
     w->gather.clear();
     for (const Participant& p : parts) {
-      if (p.is_child) {
-        w->gather.push_back(child_sets_[p.slot]);
-      } else {
-        const Trie& trie = *rels_[p.slot]->trie;
-        const uint32_t set_idx =
-            p.level == 0 ? 0 : RankCursor(*w, p.slot, p.level - 1);
-        w->gather.push_back(trie.level(p.level).set(set_idx));
-      }
+      w->gather.push_back(p.is_child
+                              ? child_sets_[p.slot]
+                              : p.trie_level->set(SetIndex(*w, p)));
     }
     if (w->gather.size() == 1) {
       if (direct_[depth]) {
-        const Participant& p = parts[0];
-        const Trie& trie = *rels_[p.slot]->trie;
-        const uint32_t set_idx =
-            p.level == 0 ? 0 : RankCursor(*w, p.slot, p.level - 1);
-        w->single_base[depth] = trie.level(p.level).base_rank(set_idx);
+        w->single_base[depth] =
+            parts[0].trie_level->base_rank(SetIndex(*w, parts[0]));
       }
       w->scratch_a[depth].Alias(w->gather[0]);
       return &w->scratch_a[depth].view();
@@ -1075,18 +1134,37 @@ class NodeExec {
     return in_a ? &w->scratch_a[depth].view() : &w->scratch_b[depth].view();
   }
 
-  bool Descend(Worker* w, int depth, uint32_t v) const {
-    for (const Participant& p : participants_[depth]) {
-      if (p.is_child) continue;
+  /// Binds value `v` of ComputeSet(depth)'s result, `r` its rank there:
+  /// sets every relation participant's rank cursor, or returns false when
+  /// some participant lacks `v`. A direct depth's rank is the iteration
+  /// rank, a full level's is base_rank(set) + v, and only the remaining
+  /// probed participants pay a Rank() lookup.
+  bool Descend(Worker* w, int depth, uint32_t v, uint32_t r) const {
+    if (direct_[depth]) {
+      const Participant& p = probe_[depth][0];
       ++w->nodes_visited;
-      const Trie& trie = *rels_[p.slot]->trie;
-      const uint32_t set_idx =
-          p.level == 0 ? 0 : RankCursor(*w, p.slot, p.level - 1);
-      const SetView set = trie.level(p.level).set(set_idx);
-      const int64_t r = set.Rank(v);
-      if (r < 0) return false;
       w->ranks[p.slot][p.level] =
-          trie.level(p.level).base_rank(set_idx) + static_cast<uint32_t>(r);
+          static_cast<uint32_t>(w->single_base[depth]) + r;
+    } else {
+      for (const Participant& p : probe_[depth]) {
+        if (p.is_child) continue;
+        ++w->nodes_visited;
+        const uint32_t set_idx = SetIndex(*w, p);
+        const int64_t rank = p.trie_level->set(set_idx).Rank(v);
+        if (rank < 0) return false;
+        w->ranks[p.slot][p.level] = p.trie_level->base_rank(set_idx) +
+                                    static_cast<uint32_t>(rank);
+      }
+    }
+    for (const Participant& p : full_[depth]) {
+      // A value past the full level's domain is absent from it (the
+      // clip); it must never index past the level or its annotations.
+      if (v >= p.full_size) return false;
+      ++w->nodes_visited;
+      ++w->elided;
+      const uint32_t rank = p.trie_level->base_rank(SetIndex(*w, p)) + v;
+      LH_DCHECK_BOUNDS(rank, p.trie_level->num_elements());
+      w->ranks[p.slot][p.level] = rank;
     }
     return true;
   }
@@ -1096,9 +1174,9 @@ class NodeExec {
     if (s->empty()) return false;
     if (depth + 1 == static_cast<int>(node_.attr_order.size())) return true;
     bool found = false;
-    s->ForEach([&](uint32_t v, uint32_t) {
+    s->ForEach([&](uint32_t v, uint32_t r) {
       if (found) return;
-      if (Descend(w, depth, v) && Satisfiable(w, depth + 1)) found = true;
+      if (Descend(w, depth, v, r) && Satisfiable(w, depth + 1)) found = true;
     });
     return found;
   }
@@ -1125,7 +1203,7 @@ class NodeExec {
   bool SplittableShape(int k) const {
     if (k < 2) return false;
     if (node_.union_relaxed && k == 3) return false;
-    if (k == 2 && fused_pair_[1]) return false;
+    if (k == 2 && fused_leaf_) return false;
     return true;
   }
 
@@ -1137,8 +1215,7 @@ class NodeExec {
       const int64_t t =
           p.is_child
               ? static_cast<int64_t>(child_sets_[p.slot].cardinality)
-              : static_cast<int64_t>(
-                    rels_[p.slot]->trie->level(p.level).num_elements());
+              : static_cast<int64_t>(p.trie_level->num_elements());
       total = std::min(total, t);
     }
     return std::max<int64_t>(kMinSkewSplitWork, total / kSkewSplitFraction);
@@ -1150,18 +1227,12 @@ class NodeExec {
   /// one cardinality comparison and at most one count-only intersection.
   bool TrySplitHeavyRoot(Worker* w, size_t key_width, int k,
                          ThreadPool& pool) {
-    const auto& parts = participants_[1];
+    const auto& parts = probe_[1];
     // Stage 1: smallest participant-set cardinality bounds |level-1 set|.
     w->gather.clear();
     for (const Participant& p : parts) {
-      if (p.is_child) {
-        w->gather.push_back(child_sets_[p.slot]);
-      } else {
-        const Trie& trie = *rels_[p.slot]->trie;
-        const uint32_t set_idx =
-            p.level == 0 ? 0 : RankCursor(*w, p.slot, p.level - 1);
-        w->gather.push_back(trie.level(p.level).set(set_idx));
-      }
+      w->gather.push_back(p.is_child ? child_sets_[p.slot]
+                                     : p.trie_level->set(SetIndex(*w, p)));
     }
     uint32_t min_card = std::numeric_limits<uint32_t>::max();
     for (const SetView& g : w->gather) {
@@ -1191,8 +1262,6 @@ class NodeExec {
     const int64_t m = static_cast<int64_t>(w->split_vals.size());
     const int64_t sub_grain = AdaptiveGrain(m, kMinSkewSplitWork / 4);
     const int64_t num_sub = (m + sub_grain - 1) / sub_grain;
-    const bool direct = direct_[1];
-    const int64_t base = direct ? w->single_base[1] : -1;
 
     std::vector<std::unique_ptr<Worker>> subs(num_sub);
     std::vector<std::unique_ptr<GroupAccum>> sub_out(num_sub);
@@ -1202,12 +1271,13 @@ class NodeExec {
       Worker* sub = subs[t].get();
       InitWorker(sub, key_width);
       sub->ranks = w->ranks;  // level-0 cursors from the parent's descent
+      sub->single_base = w->single_base;
       sub->vals[0] = w->vals[0];
       sub_out[t] = std::make_unique<GroupAccum>(key_width, &plan_.aggs);
       sub->groups = sub_out[t].get();
       const int64_t lo = t * sub_grain;
       const int64_t hi = std::min(m, lo + sub_grain);
-      pool.Submit(&group, [this, w, sub, lo, hi, base, direct, k] {
+      pool.Submit(&group, [this, w, sub, lo, hi, k] {
         for (int64_t i = lo; i < hi; ++i) {
           if (guard_active_ &&
               PollAbort(static_cast<uint64_t>(i - lo),
@@ -1215,14 +1285,7 @@ class NodeExec {
             break;
           }
           const uint32_t v = w->split_vals[i];
-          if (direct) {
-            const Participant& p = participants_[1][0];
-            ++sub->nodes_visited;
-            sub->ranks[p.slot][p.level] =
-                static_cast<uint32_t>(base) + w->split_ranks[i];
-          } else if (!Descend(sub, 1, v)) {
-            continue;
-          }
+          if (!Descend(sub, 1, v, w->split_ranks[i])) continue;
           sub->vals[1] = v;
           if (k == 2) {
             Leaf(sub);
@@ -1245,6 +1308,7 @@ class NodeExec {
     for (const auto& sub : subs) {
       w->leaf_count += sub->leaf_count;
       w->nodes_visited += sub->nodes_visited;
+      w->elided += sub->elided;
     }
     return true;
   }
@@ -1256,29 +1320,14 @@ class NodeExec {
       return;
     }
     const bool leaf = depth + 1 == k;
-    if (leaf && fused_pair_[depth]) {
+    if (leaf && fused_leaf_) {
       FusedLeafLoop(w, depth);
       return;
     }
     const SetView* s = ComputeSet(w, depth);
     if (s->empty()) return;
-    if (direct_[depth]) {
-      const Participant& p = participants_[depth][0];
-      const int64_t base = w->single_base[depth];
-      w->nodes_visited += s->cardinality;
-      s->ForEach([&](uint32_t v, uint32_t r) {
-        w->ranks[p.slot][p.level] = static_cast<uint32_t>(base) + r;
-        w->vals[depth] = v;
-        if (leaf) {
-          Leaf(w);
-        } else {
-          Recurse(w, depth + 1);
-        }
-      });
-      return;
-    }
-    s->ForEach([&](uint32_t v, uint32_t) {
-      if (!Descend(w, depth, v)) return;
+    s->ForEach([&](uint32_t v, uint32_t r) {
+      if (!Descend(w, depth, v, r)) return;
       w->vals[depth] = v;
       if (leaf) {
         Leaf(w);
@@ -1290,160 +1339,166 @@ class NodeExec {
 
   /// Deepest-attribute fast path for exactly two participating relations:
   /// one ranked intersection replaces the per-value Rank() descents — the
-  /// loop shape generated code produces (Figure 4).
+  /// loop shape generated code produces (Figure 4). When the second level
+  /// is full there is nothing to intersect: the loop runs straight over the
+  /// first set, and the full side's in-set rank is the value itself. With a
+  /// single real-product SUM that is the CSR SpMV loop, sum += a[r] * x[v].
   void FusedLeafLoop(Worker* w, int depth) {
-    const Participant& p0 = participants_[depth][0];
-    const Participant& p1 = participants_[depth][1];
-    const Trie& t0 = *rels_[p0.slot]->trie;
-    const Trie& t1 = *rels_[p1.slot]->trie;
-    const uint32_t si0 =
-        p0.level == 0 ? 0 : RankCursor(*w, p0.slot, p0.level - 1);
-    const uint32_t si1 =
-        p1.level == 0 ? 0 : RankCursor(*w, p1.slot, p1.level - 1);
-    const SetView s0 = t0.level(p0.level).set(si0);
-    const SetView s1 = t1.level(p1.level).set(si1);
-    if (s0.empty() || s1.empty()) return;
-    const uint32_t cap = std::min(s0.cardinality, s1.cardinality);
+    const Participant& pf = leaf_first_;
+    const Participant& ps = leaf_second_;
+    const TrieLevel& lf = *pf.trie_level;
+    const TrieLevel& ls = *ps.trie_level;
+    const uint32_t sif = SetIndex(*w, pf);
+    const uint32_t sis = SetIndex(*w, ps);
+    const SetView sf = lf.set(sif);
+    if (sf.empty()) return;
+    const uint32_t base_f = lf.base_rank(sif);
+    const uint32_t base_s = ls.base_rank(sis);
+    // The clip: values at or past the full size are absent from the full
+    // level, so a first set reaching that far is intersected instead.
+    if (ps.full_size > 0 && sf.Max() < ps.full_size) {
+      LH_DCHECK_BOUNDS(base_s + sf.Max(), ls.num_elements());
+      ++w->elided;
+      FusedLeafBody(w, depth, sf.cardinality, base_f, base_s,
+                    [&](auto&& fn) {
+                      sf.ForEach([&](uint32_t v, uint32_t r) { fn(v, r, v); });
+                    });
+      return;
+    }
+    const SetView ss = ls.set(sis);
+    if (ss.empty()) return;
+    const uint32_t cap = std::min(sf.cardinality, ss.cardinality);
     if (w->fused_vals.size() < cap) {
       w->fused_vals.resize(cap);
       w->fused_ra.resize(cap);
       w->fused_rb.resize(cap);
     }
-    const uint32_t n = IntersectRanked(s0, s1, w->fused_vals.data(),
+    const uint32_t n = IntersectRanked(sf, ss, w->fused_vals.data(),
                                        w->fused_ra.data(),
                                        w->fused_rb.data());
     if (n == 0) return;
-    w->nodes_visited += 2ull * n;
-    const uint32_t base0 = t0.level(p0.level).base_rank(si0);
-    const uint32_t base1 = t1.level(p1.level).base_rank(si1);
-    if (fast_single_sum_ && append_mode_) {
-      w->leaf_count += n;
-      // Single SUM over unique-key relations with compiled argument: the
-      // tightest interpreted loops we can produce.
-      if (max_dim_pos_ < depth) {
-        // Every group dimension is bound above this depth: resolve the
-        // group once and accumulate the whole intersection into it.
-        EncodeGroupKey(w);
-        double* acc = w->groups->AppendOrLast(w->group_key.data());
-        int sa, la, sb, lb;
-        const double *pa, *pb;
-        if (agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb) &&
-            sa == p0.slot && la == p0.level && sb == p1.slot &&
-            lb == p1.level) {
-          double sum = 0;
-          const double* va = pa + base0;
-          const double* vb = pb + base1;
-          for (uint32_t i = 0; i < n; ++i) {
-            sum += va[w->fused_ra[i]] * vb[w->fused_rb[i]];
-          }
-          acc[0] += sum;
-          return;
-        }
-        if (agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb) &&
-            sa == p1.slot && la == p1.level && sb == p0.slot &&
-            lb == p0.level) {
-          double sum = 0;
-          const double* va = pa + base1;
-          const double* vb = pb + base0;
-          for (uint32_t i = 0; i < n; ++i) {
-            sum += va[w->fused_rb[i]] * vb[w->fused_ra[i]];
-          }
-          acc[0] += sum;
-          return;
-        }
-        double sum = 0;
-        for (uint32_t i = 0; i < n; ++i) {
-          w->ranks[p0.slot][p0.level] = base0 + w->fused_ra[i];
-          w->ranks[p1.slot][p1.level] = base1 + w->fused_rb[i];
-          sum += agg_progs_[0].Eval([&](int slot, int level) {
-            return RankCursor(*w, slot, level);
-          });
-        }
-        acc[0] += sum;
-        return;
-      }
+    FusedLeafBody(w, depth, n, base_f, base_s, [&](auto&& fn) {
       for (uint32_t i = 0; i < n; ++i) {
-        w->ranks[p0.slot][p0.level] = base0 + w->fused_ra[i];
-        w->ranks[p1.slot][p1.level] = base1 + w->fused_rb[i];
-        w->vals[depth] = w->fused_vals[i];
-        EncodeGroupKey(w);
-        double* acc = w->groups->AppendOrLast(w->group_key.data());
-        acc[0] += agg_progs_[0].Eval([&](int slot, int level) {
-          return RankCursor(*w, slot, level);
-        });
+        fn(w->fused_vals[i], w->fused_ra[i], w->fused_rb[i]);
       }
+    });
+  }
+
+  /// FusedLeafLoop's per-match work. `each(fn)` calls fn(value, in-set
+  /// rank in leaf_first_'s set, in-set rank in leaf_second_'s set) for the
+  /// `n` matches in ascending value order.
+  template <typename Each>
+  void FusedLeafBody(Worker* w, int depth, uint32_t n, uint32_t base_f,
+                     uint32_t base_s, Each&& each) {
+    const Participant& pf = leaf_first_;
+    const Participant& ps = leaf_second_;
+    w->nodes_visited += 2ull * n;
+    auto set_ranks = [&](uint32_t v, uint32_t rf, uint32_t rs) {
+      w->ranks[pf.slot][pf.level] = base_f + rf;
+      w->ranks[ps.slot][ps.level] = base_s + rs;
+      w->vals[depth] = v;
+    };
+    if (!fast_single_sum_ || !append_mode_) {
+      each([&](uint32_t v, uint32_t rf, uint32_t rs) {
+        set_ranks(v, rf, rs);
+        Leaf(w);
+      });
       return;
     }
-    for (uint32_t i = 0; i < n; ++i) {
-      w->ranks[p0.slot][p0.level] = base0 + w->fused_ra[i];
-      w->ranks[p1.slot][p1.level] = base1 + w->fused_rb[i];
-      w->vals[depth] = w->fused_vals[i];
-      Leaf(w);
+    // Single SUM over unique-key relations with compiled argument: the
+    // tightest interpreted loops we can produce.
+    w->leaf_count += n;
+    auto eval = [&] {
+      return agg_progs_[0].Eval(
+          [&](int slot, int level) { return RankCursor(*w, slot, level); });
+    };
+    if (max_dim_pos_ >= depth) {
+      each([&](uint32_t v, uint32_t rf, uint32_t rs) {
+        set_ranks(v, rf, rs);
+        EncodeGroupKey(w);
+        double* acc = w->groups->AppendOrLast(w->group_key.data());
+        acc[0] += eval();
+      });
+      return;
     }
+    // Every group dimension is bound above this depth: resolve the group
+    // once and accumulate all matches into it.
+    EncodeGroupKey(w);
+    double* acc = w->groups->AppendOrLast(w->group_key.data());
+    double sum = 0;
+    if (leaf_first_vals_ != nullptr) {
+      const double* vf = leaf_first_vals_ + base_f;
+      const double* vs = leaf_second_vals_ + base_s;
+      each([&](uint32_t, uint32_t rf, uint32_t rs) { sum += vf[rf] * vs[rs]; });
+    } else {
+      each([&](uint32_t v, uint32_t rf, uint32_t rs) {
+        set_ranks(v, rf, rs);
+        sum += eval();
+      });
+    }
+    acc[0] += sum;
   }
 
   /// Specialized §V-A2 inner loop for the single-SUM real-product case
   /// (sparse matrix multiplication): one side of the product is fixed
   /// across the last attribute's set, so the accumulation is exactly
-  /// Gustavson's scatter: acc[j] += a_ik * b_kj. Returns false when the
-  /// shape does not apply (the generic tail runs instead).
+  /// Gustavson's scatter: acc[j] += a_ik * b_kj. When the middle
+  /// attribute's other level is full (every row of the right matrix
+  /// non-empty) the left row is iterated directly, with no Rank() probe.
+  /// Returns false when the shape does not apply (the generic tail runs
+  /// instead).
   bool RelaxedTailFast(Worker* w, int depth) {
-    if (!fast_single_sum_) return false;
-    int sa, la, sb, lb;
-    const double *pa, *pb;
-    if (!agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb)) {
-      return false;
-    }
-    if (participants_[depth + 1].size() != 1 ||
-        participants_[depth + 1][0].is_child) {
-      return false;
-    }
+    if (relax_var_vals_ == nullptr) return false;
     const Participant& pm = participants_[depth + 1][0];
-    const double* varbuf;
-    const double* fixbuf;
-    int fs, fl;
-    if (sa == pm.slot && la == pm.level) {
-      varbuf = pa;
-      fixbuf = pb;
-      fs = sb;
-      fl = lb;
-    } else if (sb == pm.slot && lb == pm.level) {
-      varbuf = pb;
-      fixbuf = pa;
-      fs = sa;
-      fl = la;
-    } else {
-      return false;
-    }
-
     const size_t stride = 2;
     if (w->relax_acc.empty()) {
       w->relax_acc.assign(static_cast<size_t>(last_domain_size_) * stride, 0);
-      w->relax_occ.assign(last_domain_size_, 0);
+      w->relax_occ.assign(bits::WordsForBits(last_domain_size_), 0);
     }
     const SetView* s = ComputeSet(w, depth);
     if (s->empty()) return true;
-    const Trie& tm = *rels_[pm.slot]->trie;
-    s->ForEach([&](uint32_t v, uint32_t) {
-      if (!Descend(w, depth, v)) return;
-      const double fixed = fixbuf[RankCursor(*w, fs, fl)];
-      const uint32_t set_idx =
-          pm.level == 0 ? 0 : RankCursor(*w, pm.slot, pm.level - 1);
-      const SetView sm = tm.level(pm.level).set(set_idx);
-      const uint32_t base = tm.level(pm.level).base_rank(set_idx);
-      const double* values = varbuf + base;
-      sm.ForEach([&](uint32_t m, uint32_t r) {
-        double* acc = w->relax_acc.data() + static_cast<size_t>(m) * stride;
-        if (!w->relax_occ[m]) {
-          w->relax_occ[m] = 1;
-          w->relax_touched.push_back(m);
+    const TrieLevel& lm = *pm.trie_level;
+    double* const accs = w->relax_acc.data();
+    uint64_t* const occ = w->relax_occ.data();
+    std::vector<uint32_t>& touched = w->relax_touched;
+    s->ForEach([&](uint32_t v, uint32_t r) {
+      if (!Descend(w, depth, v, r)) return;
+      const double fixed = relax_fixed_vals_[RankCursor(
+          *w, relax_fixed_.slot, relax_fixed_.level)];
+      const uint32_t set_idx = SetIndex(*w, pm);
+      const SetView sm = lm.set(set_idx);
+      const double* values = relax_var_vals_ + lm.base_rank(set_idx);
+      sm.ForEach([&](uint32_t m, uint32_t rm) {
+        double* acc = accs + static_cast<size_t>(m) * stride;
+        if (!bits::TestBit(occ, m)) {
+          bits::SetBit(occ, m);
+          touched.push_back(m);
           acc[0] = 0;
         }
-        acc[0] += fixed * values[r];
+        acc[0] += fixed * values[rm];
       });
     });
     FlushRelaxed(w, stride);
     return true;
+  }
+
+  /// Puts relax_touched in ascending order and clears its occupancy bits:
+  /// reads the touched values back from the bitmap in word order, over the
+  /// words between the smallest and the largest touched value.
+  static void OrderTouched(Worker* w) {
+    std::vector<uint32_t>& touched = w->relax_touched;
+    if (touched.empty()) return;
+    uint64_t* occ = w->relax_occ.data();
+    const auto [lo, hi] = std::minmax_element(touched.begin(), touched.end());
+    const uint32_t last = *hi / bits::kWordBits;
+    size_t n = 0;
+    for (uint32_t i = *lo / bits::kWordBits; i <= last; ++i) {
+      for (uint64_t word = occ[i]; word != 0; word &= word - 1) {
+        touched[n++] = i * bits::kWordBits +
+                       static_cast<uint32_t>(bits::CountTrailingZeros(word));
+      }
+      occ[i] = 0;
+    }
   }
 
   /// Emits one leaf per touched last-attribute value, ascending. In append
@@ -1452,13 +1507,12 @@ class NodeExec {
   void FlushRelaxed(Worker* w, size_t stride) {
     const int k = static_cast<int>(node_.attr_order.size());
     w->leaf_count += w->relax_touched.size();
-    std::sort(w->relax_touched.begin(), w->relax_touched.end());
+    OrderTouched(w);
     if (append_mode_ && !last_vertex_words_.empty()) {
       EncodeGroupKey(w);
       w->groups->AppendRun(w->group_key.data(), last_vertex_words_,
                            w->relax_touched.data(), w->relax_touched.size(),
                            w->relax_acc.data());
-      for (uint32_t m : w->relax_touched) w->relax_occ[m] = 0;
       w->relax_touched.clear();
       return;
     }
@@ -1475,7 +1529,6 @@ class NodeExec {
                         ? w->groups->AppendOrLast(w->group_key.data())
                         : w->groups->FindOrCreate(w->group_key.data());
       w->groups->Apply(dst, w->agg_main.data(), w->agg_aux.data());
-      w->relax_occ[m] = 0;
     }
     w->relax_touched.clear();
   }
@@ -1490,21 +1543,21 @@ class NodeExec {
     LH_CHECK_GT(last_domain_size_, 0u);
     if (w->relax_acc.empty()) {
       w->relax_acc.assign(static_cast<size_t>(last_domain_size_) * stride, 0);
-      w->relax_occ.assign(last_domain_size_, 0);
+      w->relax_occ.assign(bits::WordsForBits(last_domain_size_), 0);
     }
     const SetView* s = ComputeSet(w, depth);
     if (s->empty()) return;
-    s->ForEach([&](uint32_t v, uint32_t) {
-      if (!Descend(w, depth, v)) return;
+    s->ForEach([&](uint32_t v, uint32_t r) {
+      if (!Descend(w, depth, v, r)) return;
       w->vals[depth] = v;
       const SetView* sm = ComputeSet(w, depth + 1);
-      sm->ForEach([&](uint32_t m, uint32_t) {
-        if (!Descend(w, depth + 1, m)) return;
+      sm->ForEach([&](uint32_t m, uint32_t rm) {
+        if (!Descend(w, depth + 1, m, rm)) return;
         w->vals[depth + 1] = m;
         ComputeDeltas(w);
         double* acc = w->relax_acc.data() + static_cast<size_t>(m) * stride;
-        if (!w->relax_occ[m]) {
-          w->relax_occ[m] = 1;
+        if (!bits::TestBit(w->relax_occ.data(), m)) {
+          bits::SetBit(w->relax_occ.data(), m);
           w->relax_touched.push_back(m);
           for (size_t i = 0; i < plan_.aggs.size(); ++i) {
             switch (plan_.aggs[i].func) {
@@ -1572,7 +1625,16 @@ class NodeExec {
         if (exec_.lookup_rel_ids_[i] != rel) continue;
         const BuiltRelation& br = *exec_.lookups_[i];
         const uint32_t value = w_.vals[exec_.lookup_positions_[i]];
-        const int64_t r = br.trie->root().Rank(value);
+        // A full root needs no probe: value v has rank v (lookup tries
+        // are eager).
+        const TrieLevel& root = br.trie->level(0);
+        int64_t r;
+        if (root.all_full()) {
+          r = value < root.full_size() ? value : -1;
+          ++w_.elided;
+        } else {
+          r = root.set(0).Rank(value);
+        }
         LH_CHECK(r >= 0) << "lookup value missing from lookup trie";
         const int a = br.annot_of_col[col];
         LH_CHECK(a >= 0) << "unplanned lookup annotation";
@@ -1837,8 +1899,23 @@ class NodeExec {
   bool all_unique_ = false;
   bool fast_single_sum_ = false;
   int max_dim_pos_ = -1;
-  std::vector<bool> direct_;
-  std::vector<bool> fused_pair_;
+  // Per depth: the participants ComputeSet intersects and Descend probes
+  // with Rank(), and the full levels it does neither for.
+  std::vector<std::vector<Participant>> probe_, full_;
+  std::vector<bool> direct_;  // exactly one probed participant, a relation
+  // The deepest attribute has exactly two relation participants
+  // (FusedLeafLoop); leaf_first_ is probed, leaf_second_ may be full.
+  bool fused_leaf_ = false;
+  Participant leaf_first_{}, leaf_second_{};
+  // Annotation buffers the single SUM multiplies at the fused leaf, indexed
+  // by leaf_first_'s and leaf_second_'s ranks (null: not such a product).
+  const double* leaf_first_vals_ = nullptr;
+  const double* leaf_second_vals_ = nullptr;
+  // The same for RelaxedTailFast: the buffer at the last attribute's level
+  // and the fixed operand's buffer, level and slot (null: not applicable).
+  const double* relax_var_vals_ = nullptr;
+  const double* relax_fixed_vals_ = nullptr;
+  Participant relax_fixed_{};
   uint32_t last_domain_size_ = 0;
   bool append_mode_ = false;
   // Group-key words holding the last attribute (FlushRelaxed's patch set).
@@ -1846,6 +1923,7 @@ class NodeExec {
   int64_t skew_threshold_ = 0;  // 0 = splitting disabled for this node
   uint64_t total_leaves_ = 0;
   uint64_t total_nodes_ = 0;
+  uint64_t total_elided_ = 0;
 
   // Chunk-run state (PrepareChunks / RunChunk / AbsorbWorkers / Partials).
   // root_values_, grain_, and chunk layout are written once in
@@ -1854,6 +1932,7 @@ class NodeExec {
   size_t key_width_ = 0;
   std::unique_ptr<Worker> seed_;
   std::vector<uint32_t> root_values_;
+  int64_t root_base_ = 0;  // the root set's base rank (direct_[0])
   int64_t grain_ = 1;
   int64_t num_chunks_ = 0;
   std::vector<std::unique_ptr<GroupAccum>> chunk_out_;
@@ -2357,6 +2436,7 @@ struct JoinState {
         qobs->node_tuples[ni] = codes.size();
         qobs->stats.CountTuplesEmitted(codes.size());
         qobs->stats.CountTrieNodesVisited(exec.nodes_visited());
+        qobs->stats.CountIntersectElided(exec.elided());
       }
       child_results[ni] = OwnedSet::FromSorted(codes);
     }
@@ -2417,6 +2497,7 @@ struct JoinState {
       qobs->node_tuples[0] = root->leaves();
       qobs->stats.CountTuplesEmitted(root->leaves());
       qobs->stats.CountTrieNodesVisited(root->nodes_visited());
+      qobs->stats.CountIntersectElided(root->elided());
     }
     wcoj_span->AddMetric("tuples", static_cast<double>(root->leaves()));
     wcoj_span->End();

@@ -208,6 +208,7 @@ bool QueryProfile::FromJson(const JsonValue& value, QueryProfile* out) {
   counter("intersect.uint_bitset", &out->counters.intersect_uint_bitset);
   counter("intersect.bitset_bitset", &out->counters.intersect_bitset_bitset);
   counter("intersect.result_values", &out->counters.intersect_result_values);
+  counter("intersect.elided", &out->counters.intersect_elided);
   counter("trie.nodes_visited", &out->counters.trie_nodes_visited);
   counter("trie.cache_hits", &out->counters.trie_cache_hits);
   counter("trie.cache_misses", &out->counters.trie_cache_misses);

@@ -26,6 +26,7 @@ StatsSnapshot ExecStats::Snapshot() const {
   s.intersect_bitset_bitset = intersect_[2].load(kRelaxed);
   s.intersect_result_values =
       intersect_result_values_.load(kRelaxed);
+  s.intersect_elided = intersect_elided_.load(kRelaxed);
   s.trie_nodes_visited = trie_nodes_visited_.load(kRelaxed);
   s.tuples_emitted = tuples_emitted_.load(kRelaxed);
   s.trie_cache_hits = trie_cache_hits_.load(kRelaxed);
@@ -58,6 +59,7 @@ StatsSnapshot ExecStats::Snapshot() const {
 void ExecStats::Reset() {
   for (auto& c : intersect_) c.store(0, kRelaxed);
   intersect_result_values_.store(0, kRelaxed);
+  intersect_elided_.store(0, kRelaxed);
   trie_nodes_visited_.store(0, kRelaxed);
   tuples_emitted_.store(0, kRelaxed);
   trie_cache_hits_.store(0, kRelaxed);
@@ -92,6 +94,7 @@ void ExecStats::Add(const StatsSnapshot& s) {
                           kRelaxed);
   intersect_result_values_.fetch_add(s.intersect_result_values,
                                      kRelaxed);
+  intersect_elided_.fetch_add(s.intersect_elided, kRelaxed);
   trie_nodes_visited_.fetch_add(s.trie_nodes_visited,
                                 kRelaxed);
   tuples_emitted_.fetch_add(s.tuples_emitted, kRelaxed);
@@ -135,6 +138,7 @@ std::vector<std::pair<std::string, uint64_t>> StatsSnapshot::Items() const {
       {"intersect.uint_bitset", intersect_uint_bitset},
       {"intersect.bitset_bitset", intersect_bitset_bitset},
       {"intersect.result_values", intersect_result_values},
+      {"intersect.elided", intersect_elided},
       {"trie.nodes_visited", trie_nodes_visited},
       {"trie.cache_hits", trie_cache_hits},
       {"trie.cache_misses", trie_cache_misses},

@@ -41,6 +41,9 @@ struct StatsSnapshot {
   uint64_t intersect_bitset_bitset = 0;
   /// Sum of result cardinalities across all intersections.
   uint64_t intersect_result_values = 0;
+  /// Intersections and Rank() probes the executor skipped because a trie
+  /// level was full (every set the whole domain: icost 0, rank = base + v).
+  uint64_t intersect_elided = 0;
   uint64_t trie_nodes_visited = 0;
   uint64_t tuples_emitted = 0;
   /// Logical cache lookups: one per relation probe, regardless of how many
@@ -126,6 +129,9 @@ class ExecStats {
     intersect_result_values_.fetch_add(result_cardinality,
                                        kRelaxed);
   }
+  void CountIntersectElided(uint64_t n) {
+    intersect_elided_.fetch_add(n, kRelaxed);
+  }
   void CountTrieNodesVisited(uint64_t n) {
     trie_nodes_visited_.fetch_add(n, kRelaxed);
   }
@@ -206,6 +212,7 @@ class ExecStats {
  private:
   std::atomic<uint64_t> intersect_[3] = {};
   std::atomic<uint64_t> intersect_result_values_{0};
+  std::atomic<uint64_t> intersect_elided_{0};
   std::atomic<uint64_t> trie_nodes_visited_{0};
   std::atomic<uint64_t> tuples_emitted_{0};
   std::atomic<uint64_t> trie_cache_hits_{0};

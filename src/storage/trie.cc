@@ -835,7 +835,7 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
             break;
           }
         }
-        level.all_full_ = full && sb.size() > 1 && n > 0;
+        full = full && sb.size() > 1 && n > 0;
       } else {
         for (const TrieLevel::SetDesc& s : level.sets_) {
           if (s.cardinality != spec.domain_sizes[l]) {
@@ -843,8 +843,9 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
             break;
           }
         }
-        level.all_full_ = full && !level.sets_.empty() && n > 0;
+        full = full && !level.sets_.empty() && n > 0;
       }
+      level.full_size_ = full ? spec.domain_sizes[l] : 0;
     }
   }
 

@@ -98,7 +98,11 @@ class TrieLevel {
 
   /// True when every set in this level is the complete domain [0, domain):
   /// the "completely dense relation" case whose icost is 0 (§V-A1).
-  bool all_full() const { return all_full_; }
+  bool all_full() const { return full_size_ > 0; }
+  /// The domain size every set of a full level spans (0 when the level is
+  /// not all_full()). On a full level value v has in-set rank v, and any
+  /// v >= full_size() is absent.
+  uint32_t full_size() const { return full_size_; }
 
   /// Index of the first trie leaf under element `rank` of this level; the
   /// leaves of the element's subtree are [first_leaf(rank),
@@ -144,7 +148,7 @@ class TrieLevel {
   int level_index_ = 0;
   uint32_t leaf_end_ = 0;
   uint64_t num_elements_ = 0;
-  bool all_full_ = false;
+  uint32_t full_size_ = 0;
 };
 
 /// Source description for one annotation column fed into a trie build.

@@ -15,6 +15,7 @@
 #include "core/cancel.h"
 #include "core/engine.h"
 #include "util/rng.h"
+#include "workload/matrix_gen.h"
 
 namespace levelheaded {
 namespace {
@@ -202,6 +203,104 @@ TEST_F(CancelTest, MaxResultRowsIgnoresAggregates) {
   auto result = engine.Query(kTriangleSql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().num_rows, 1u);
+}
+
+/// A large SMV whose vector covers its whole domain: the vector's trie
+/// level is full, so the leaf runs the elided CSR-shaped loop over each
+/// matrix row. Aborts are polled per root row around that loop.
+class CancelSmvTest : public ::testing::Test {
+ protected:
+  static constexpr char kSmv[] =
+      "SELECT m.r, sum(m.v * x.val) FROM m, x WHERE m.c = x.i GROUP BY m.r";
+
+  void SetUp() override {
+    const SyntheticMatrix m = Nlp240Like(0.05);
+    ASSERT_TRUE(AddMatrixTable(&catalog_, "m", "d", m).ok());
+    ASSERT_TRUE(AddVectorTable(&catalog_, "x", "d", m.coo.num_rows, 7).ok());
+    ASSERT_TRUE(catalog_.Finalize().ok());
+    Engine engine(&catalog_);
+    auto r = engine.Query(kSmv);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    reference_ = std::move(r).value();
+    ASSERT_GT(reference_.num_rows, 1000u);
+  }
+
+  Catalog catalog_;
+  QueryResult reference_;
+};
+
+TEST_F(CancelSmvTest, PreCancelledTokenReturnsCancelled) {
+  Engine engine(&catalog_);
+  CancelToken token;
+  token.Cancel();
+  QueryOptions opts;
+  opts.cancel_token = &token;
+  auto result = engine.Query(kSmv, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+}
+
+TEST_F(CancelSmvTest, ExpiredDeadlineReturnsDeadlineExceeded) {
+  Engine engine(&catalog_);
+  QueryOptions opts;
+  opts.timeout_ms = 1e-6;
+  auto result = engine.Query(kSmv, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// Cancels and deadlines landing while the elided loops run: every run
+// either completes with the unbounded result or unwinds with the status
+// of what stopped it — never a partial result.
+TEST_F(CancelSmvTest, MidRunAbortsUnwindWithTheirStatus) {
+  Engine engine(&catalog_);
+  for (int i = 0; i < 8; ++i) {
+    CancelToken token;
+    QueryOptions opts;
+    opts.cancel_token = &token;
+    std::thread canceller([&token, i] {
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * i));
+      token.Cancel();
+    });
+    auto cancelled = engine.Query(kSmv, opts);
+    canceller.join();
+    if (cancelled.ok()) {
+      EXPECT_EQ(cancelled.value().num_rows, reference_.num_rows);
+      EXPECT_EQ(cancelled.value().columns[1].reals,
+                reference_.columns[1].reals);
+    } else {
+      EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+    }
+
+    QueryOptions timed;
+    timed.timeout_ms = 0.05 * (i + 1);
+    auto deadline = engine.Query(kSmv, timed);
+    if (deadline.ok()) {
+      EXPECT_EQ(deadline.value().columns[1].reals,
+                reference_.columns[1].reals);
+    } else {
+      EXPECT_EQ(deadline.status().code(), StatusCode::kDeadlineExceeded);
+    }
+  }
+}
+
+// The row bound stays exact on SMV: one row under the output fails before
+// the result is allocated, an exact fit passes.
+TEST_F(CancelSmvTest, MaxResultRowsBoundsSmvExactly) {
+  const size_t rows = reference_.num_rows;
+  EngineOptions limits;
+  limits.max_result_rows = rows - 1;
+  {
+    Engine engine(&catalog_, limits);
+    auto result = engine.Query(kSmv);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  }
+  limits.max_result_rows = rows;
+  Engine engine(&catalog_, limits);
+  auto result = engine.Query(kSmv);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().num_rows, rows);
 }
 
 TEST(CancelTokenTest, ResetAndCancelAreIdempotent) {

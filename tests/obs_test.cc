@@ -110,15 +110,21 @@ TEST(ExecStatsTest, CountersAccumulateAndReset) {
 TEST(ExecStatsTest, ItemsCoverEveryCounter) {
   ExecStats stats;
   stats.CountIntersect(IntersectKernel::kUintUint, 2);
+  stats.CountIntersectElided(3);
   StatsSnapshot snap = stats.Snapshot();
   std::vector<std::pair<std::string, uint64_t>> items = snap.Items();
-  EXPECT_EQ(items.size(), 29u);
+  EXPECT_EQ(items.size(), 30u);
   bool saw_uint_uint = false;
+  bool saw_elided = false;
   bool saw_shard_scatters = false;
   for (const auto& [name, value] : items) {
     if (name == "intersect.uint_uint") {
       saw_uint_uint = true;
       EXPECT_EQ(value, 1u);
+    }
+    if (name == "intersect.elided") {
+      saw_elided = true;
+      EXPECT_EQ(value, 3u);
     }
     if (name == "shard.scatters") {
       saw_shard_scatters = true;
@@ -126,6 +132,7 @@ TEST(ExecStatsTest, ItemsCoverEveryCounter) {
     }
   }
   EXPECT_TRUE(saw_uint_uint);
+  EXPECT_TRUE(saw_elided);
   EXPECT_TRUE(saw_shard_scatters);
 }
 
@@ -252,6 +259,7 @@ TEST(QueryProfileTest, JsonRoundTrip) {
     exec.AddMetric("tuples", 7);
   }
   qobs.stats.CountIntersect(IntersectKernel::kUintBitset, 9);
+  qobs.stats.CountIntersectElided(4);
   qobs.stats.CountTuplesEmitted(7);
   qobs.node_tuples = {7, 3};
   std::shared_ptr<const QueryProfile> profile = qobs.Finish();
@@ -279,6 +287,7 @@ TEST(QueryProfileTest, JsonRoundTrip) {
   }
   EXPECT_EQ(back.counters.intersect_uint_bitset, 1u);
   EXPECT_EQ(back.counters.intersect_result_values, 9u);
+  EXPECT_EQ(back.counters.intersect_elided, 4u);
   EXPECT_EQ(back.counters.tuples_emitted, 7u);
   EXPECT_EQ(back.node_tuples, (std::vector<uint64_t>{7, 3}));
 }
