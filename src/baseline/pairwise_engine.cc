@@ -16,6 +16,7 @@
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+#include "util/total_order.h"
 
 namespace levelheaded {
 
@@ -242,7 +243,7 @@ class PairwiseRun {
               static_cast<int64_t>(EvalNumber(*dim.expr, cells)));
           break;
         case DimKind::kReal:
-          w->key[d] = BitcastDouble(EvalNumber(*dim.expr, cells));
+          w->key[d] = RealKeyBits(EvalNumber(*dim.expr, cells));
           break;
       }
     }
@@ -643,7 +644,7 @@ class PairwiseRun {
           w->dim_progs[d].Eval(b, w->prog_scratch.data());
           if (spec.out == DimKind::kReal) {
             for (size_t i = 0; i < b.n; ++i) {
-              arr[i] = BitcastDouble(w->prog_scratch[i]);
+              arr[i] = RealKeyBits(w->prog_scratch[i]);
             }
           } else {
             for (size_t i = 0; i < b.n; ++i) {
@@ -665,10 +666,10 @@ class PairwiseRun {
       for (size_t a = 0; a < naggs; ++a) {
         switch (plan_.aggs[a].func) {
           case AggFunc::kMin:
-            acc[2 * a] = std::min(acc[2 * a], w->agg_arr[a][i]);
+            acc[2 * a] = TotalMin(acc[2 * a], w->agg_arr[a][i]);
             break;
           case AggFunc::kMax:
-            acc[2 * a] = std::max(acc[2 * a], w->agg_arr[a][i]);
+            acc[2 * a] = TotalMax(acc[2 * a], w->agg_arr[a][i]);
             break;
           case AggFunc::kCount:
             acc[2 * a] += 1;

@@ -27,6 +27,7 @@
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+#include "util/total_order.h"
 
 namespace levelheaded {
 namespace {
@@ -90,55 +91,37 @@ AnnotationMerge MergeForAgg(AggFunc f) {
   }
 }
 
-/// CellAccessor over one base-table row (single-relation contexts).
-class TableRowCells : public CellAccessor {
- public:
-  explicit TableRowCells(const Table& t) : t_(t) {}
-  uint32_t row = 0;
-
-  double Number(int, int col) const override {
-    const ColumnData& c = t_.column(col);
-    if (!c.ints.empty()) return static_cast<double>(c.ints[row]);
-    if (!c.reals.empty()) return c.reals[row];
-    return static_cast<double>(c.codes[row]);
-  }
-  int64_t Code(int, int col) const override {
-    const ColumnData& c = t_.column(col);
-    if (c.dict == nullptr || c.dict->type() != ValueType::kString) return -1;
-    return c.codes[row];
-  }
-  const Dictionary* Dict(int, int col) const override {
-    const ColumnData& c = t_.column(col);
-    return c.dict != nullptr && c.dict->type() == ValueType::kString ? c.dict
-                                                                     : nullptr;
-  }
-
- private:
-  const Table& t_;
-};
-
-/// Evaluates a single-relation aggregate argument for every base row —
-/// through the batch VM when the expression compiles, else the per-row
-/// tree walker.
-std::vector<double> ComputeRowExpr(const Expr& arg, const Table& table,
-                                   bool use_vm) {
+/// Evaluates a single-relation aggregate argument for every base row.
+Result<std::vector<double>> ComputeRowExpr(const Expr& arg,
+                                           const Table& table) {
+  ExprProgram prog;
+  LH_RETURN_NOT_OK(ExprProgram::Compile(arg, TableResolver(table), &prog));
   const size_t n = table.num_rows();
   std::vector<double> out(n);
-  ExprProgram prog;
-  if (use_vm && ExprProgram::Compile(arg, table, &prog)) {
-    for (size_t r = 0; r < n; r += ExprProgram::kBatch) {
-      const int m = static_cast<int>(
-          std::min<size_t>(ExprProgram::kBatch, n - r));
-      prog.EvalRange(static_cast<uint32_t>(r), m, out.data() + r);
-    }
-    return out;
-  }
-  TableRowCells cells(table);
-  for (size_t r = 0; r < n; ++r) {
-    cells.row = static_cast<uint32_t>(r);
-    out[r] = EvalNumber(arg, cells);
+  for (size_t r = 0; r < n; r += ExprProgram::kBatch) {
+    const int m =
+        static_cast<int>(std::min<size_t>(ExprProgram::kBatch, n - r));
+    prog.EvalRange(static_cast<uint32_t>(r), m, out.data() + r);
   }
   return out;
+}
+
+/// An annotation buffer as an expression-program column (its index source
+/// is set by the caller).
+ColumnSource AnnotationColumn(const AnnotationBuffer& buf) {
+  ColumnSource col;
+  if (buf.type == ValueType::kString) {
+    col.type = ColumnSource::Type::kString;
+    col.codes = buf.codes.data();
+    col.dict = buf.dict;
+  } else if (IsRealType(buf.type)) {
+    col.type = ColumnSource::Type::kReal;
+    col.reals = buf.reals.data();
+  } else {
+    col.type = ColumnSource::Type::kInt;
+    col.ints = buf.ints.data();
+  }
+  return col;
 }
 
 /// Builds (or fetches from cache) the trie of one relation over the key
@@ -176,8 +159,10 @@ Result<BuiltRelation> BuildRelationTrie(
       const AggExec& agg = plan.aggs[i];
       if (agg.single_rel != rel || agg.arg == nullptr) continue;
       if (agg.func == AggFunc::kCount) continue;
-      computed.push_back(std::make_shared<std::vector<double>>(
-          ComputeRowExpr(*agg.arg, *ref.table, plan.options.use_expr_vm)));
+      LH_ASSIGN_OR_RETURN(std::vector<double> values,
+                          ComputeRowExpr(*agg.arg, *ref.table));
+      computed.push_back(
+          std::make_shared<std::vector<double>>(std::move(values)));
       TrieAnnotationSpec ann;
       ann.name = agg.annot_name;
       ann.type = ValueType::kDouble;
@@ -226,8 +211,7 @@ Result<BuiltRelation> BuildRelationTrie(
     std::vector<const Expr*> conjuncts;
     for (const ExprPtr& f : ref.filters) conjuncts.push_back(f.get());
     LH_ASSIGN_OR_RETURN(RowFilter filter,
-                        RowFilter::Compile(conjuncts, *ref.table,
-                                           plan.options.use_expr_vm));
+                        RowFilter::Compile(conjuncts, *ref.table));
     selection = filter.SelectedRows();
     spec.selection = &selection;
     timing->filter_ms += t.ElapsedMillis();
@@ -320,328 +304,6 @@ Result<BuiltRelation> BuildRelationTrie(
 }
 
 // ---------------------------------------------------------------------------
-// Compiled leaf expressions.
-//
-// The paper's engine generates C++ for the aggregate expressions evaluated
-// at every WCOJ leaf; this interpreter's analog is a small postfix program
-// over resolved annotation buffers, avoiding the generic tree-walking
-// evaluator on the hottest path. Compilation fails (and the generic path
-// runs) for constructs that need lookups, subtree folds, or strings beyond
-// equality tests.
-// ---------------------------------------------------------------------------
-
-class LeafProgram {
- public:
-  /// Compiles `e` against the node's participating relations;
-  /// `slot_of_rel(rel)` maps a relation to its slot or -1.
-  template <typename SlotOf, typename RelAt>
-  static bool Compile(const Expr& e, SlotOf&& slot_of_rel, RelAt&& rel_at,
-                      LeafProgram* out) {
-    return out->CompileNode(e, slot_of_rel, rel_at);
-  }
-
-  bool empty() const { return instrs_.empty(); }
-
-  /// True when the program is exactly real-load(slot_a,level_a) *
-  /// real-load(slot_b,level_b); exposes the operands so callers can run the
-  /// multiply as a direct array kernel.
-  bool AsRealProduct(int* slot_a, int* level_a, const double** a,
-                     int* slot_b, int* level_b, const double** b) const {
-    if (instrs_.size() != 3 || instrs_[0].op != Op::kLoadReal ||
-        instrs_[1].op != Op::kLoadReal || instrs_[2].op != Op::kMul) {
-      return false;
-    }
-    *slot_a = instrs_[0].slot;
-    *level_a = instrs_[0].level;
-    *a = instrs_[0].reals;
-    *slot_b = instrs_[1].slot;
-    *level_b = instrs_[1].level;
-    *b = instrs_[1].reals;
-    return true;
-  }
-
-  /// Evaluates at the current leaf; `rank_of(slot, level)` supplies the
-  /// relation cursors.
-  template <typename RankOf>
-  double Eval(RankOf&& rank_of) const {
-    double st[32];
-    int top = -1;
-    for (const Instr& in : instrs_) {
-      switch (in.op) {
-        case Op::kConst:
-          st[++top] = in.imm;
-          break;
-        case Op::kLoad:
-          st[++top] = in.buf->AsDouble(rank_of(in.slot, in.level));
-          break;
-        case Op::kLoadReal:
-          st[++top] = in.reals[rank_of(in.slot, in.level)];
-          break;
-        case Op::kLoadInt:
-          st[++top] = static_cast<double>(in.ints[rank_of(in.slot, in.level)]);
-          break;
-        case Op::kLoadCodeEq:
-          st[++top] =
-              in.buf->codes[rank_of(in.slot, in.level)] == in.imm_code
-                  ? 1.0
-                  : 0.0;
-          break;
-        case Op::kNeg:
-          st[top] = -st[top];
-          break;
-        case Op::kNot:
-          st[top] = st[top] != 0 ? 0.0 : 1.0;
-          break;
-        case Op::kYear:
-          st[top] = static_cast<double>(
-              YearOfDays(static_cast<int32_t>(st[top])));
-          break;
-        case Op::kSelect: {
-          const double els = st[top--];
-          const double thn = st[top--];
-          st[top] = st[top] != 0 ? thn : els;
-          break;
-        }
-        default: {
-          const double b = st[top--];
-          double& a = st[top];
-          switch (in.op) {
-            case Op::kAdd:
-              a += b;
-              break;
-            case Op::kSub:
-              a -= b;
-              break;
-            case Op::kMul:
-              a *= b;
-              break;
-            case Op::kDiv:
-              a /= b;
-              break;
-            case Op::kCmpLt:
-              a = a < b ? 1.0 : 0.0;
-              break;
-            case Op::kCmpLe:
-              a = a <= b ? 1.0 : 0.0;
-              break;
-            case Op::kCmpGt:
-              a = a > b ? 1.0 : 0.0;
-              break;
-            case Op::kCmpGe:
-              a = a >= b ? 1.0 : 0.0;
-              break;
-            case Op::kCmpEq:
-              a = a == b ? 1.0 : 0.0;
-              break;
-            case Op::kCmpNe:
-              a = a != b ? 1.0 : 0.0;
-              break;
-            case Op::kAnd:
-              a = (a != 0 && b != 0) ? 1.0 : 0.0;
-              break;
-            case Op::kOr:
-              a = (a != 0 || b != 0) ? 1.0 : 0.0;
-              break;
-            default:
-              LH_CHECK(false);
-          }
-          break;
-        }
-      }
-    }
-    return top == 0 ? st[0] : 0.0;
-  }
-
- private:
-  enum class Op : uint8_t {
-    kConst,
-    kLoad,
-    kLoadReal,
-    kLoadInt,
-    kLoadCodeEq,
-    kAdd,
-    kSub,
-    kMul,
-    kDiv,
-    kNeg,
-    kNot,
-    kYear,
-    kSelect,
-    kCmpLt,
-    kCmpLe,
-    kCmpGt,
-    kCmpGe,
-    kCmpEq,
-    kCmpNe,
-    kAnd,
-    kOr,
-  };
-  struct Instr {
-    Op op;
-    double imm = 0;
-    uint32_t imm_code = 0;
-    int slot = -1;
-    int level = 0;
-    const AnnotationBuffer* buf = nullptr;
-    const double* reals = nullptr;
-    const int64_t* ints = nullptr;
-  };
-
-  template <typename SlotOf, typename RelAt>
-  bool CompileNode(const Expr& e, SlotOf&& slot_of_rel, RelAt&& rel_at) {
-    // Depth guard: the evaluation stack is fixed-size.
-    if (instrs_.size() > 24) return false;
-    switch (e.kind) {
-      case Expr::Kind::kIntLiteral:
-      case Expr::Kind::kDateLiteral:
-      case Expr::Kind::kIntervalLiteral:
-        instrs_.push_back({Op::kConst, static_cast<double>(e.int_value)});
-        return true;
-      case Expr::Kind::kRealLiteral:
-        instrs_.push_back({Op::kConst, e.real_value});
-        return true;
-      case Expr::Kind::kColumnRef: {
-        const int slot = slot_of_rel(e.bound_rel);
-        if (slot < 0) return false;
-        const auto* br = rel_at(slot);
-        const int a = br->annot_of_col[e.bound_col];
-        if (a < 0) return false;
-        const AnnotationBuffer& buf = br->trie->annotation(a);
-        if (buf.level >= br->num_query_levels) return false;
-        if (!buf.codes.empty()) return false;  // strings: only via CodeEq
-        Instr in;
-        in.slot = slot;
-        in.level = buf.level;
-        in.buf = &buf;
-        if (!buf.reals.empty()) {
-          in.op = Op::kLoadReal;
-          in.reals = buf.reals.data();
-        } else if (!buf.ints.empty()) {
-          in.op = Op::kLoadInt;
-          in.ints = buf.ints.data();
-        } else {
-          in.op = Op::kLoad;
-        }
-        instrs_.push_back(in);
-        return true;
-      }
-      case Expr::Kind::kUnaryMinus:
-        if (!CompileNode(*e.children[0], slot_of_rel, rel_at)) return false;
-        instrs_.push_back({Op::kNeg});
-        return true;
-      case Expr::Kind::kNot:
-        if (!CompileNode(*e.children[0], slot_of_rel, rel_at)) return false;
-        instrs_.push_back({Op::kNot});
-        return true;
-      case Expr::Kind::kExtractYear:
-        if (!CompileNode(*e.children[0], slot_of_rel, rel_at)) return false;
-        instrs_.push_back({Op::kYear});
-        return true;
-      case Expr::Kind::kCase: {
-        const size_t pairs = e.children.size() / 2;
-        std::function<bool(size_t)> emit = [&](size_t i) -> bool {
-          if (i == pairs) {
-            if (e.case_has_else) {
-              return CompileNode(*e.children.back(), slot_of_rel, rel_at);
-            }
-            instrs_.push_back({Op::kConst, 0.0});
-            return true;
-          }
-          if (!CompileNode(*e.children[2 * i], slot_of_rel, rel_at)) {
-            return false;
-          }
-          if (!CompileNode(*e.children[2 * i + 1], slot_of_rel, rel_at)) {
-            return false;
-          }
-          if (!emit(i + 1)) return false;
-          instrs_.push_back({Op::kSelect});
-          return true;
-        };
-        return emit(0);
-      }
-      case Expr::Kind::kBinary: {
-        if (e.bin_op == BinOp::kEq || e.bin_op == BinOp::kNe) {
-          const Expr* col = e.children[0].get();
-          const Expr* lit = e.children[1].get();
-          if (col->kind != Expr::Kind::kColumnRef) std::swap(col, lit);
-          if (col->kind == Expr::Kind::kColumnRef &&
-              lit->kind == Expr::Kind::kStringLiteral) {
-            const int slot = slot_of_rel(col->bound_rel);
-            if (slot < 0) return false;
-            const auto* br = rel_at(slot);
-            const int a = br->annot_of_col[col->bound_col];
-            if (a < 0) return false;
-            const AnnotationBuffer& buf = br->trie->annotation(a);
-            if (buf.level >= br->num_query_levels || buf.codes.empty() ||
-                buf.dict == nullptr) {
-              return false;
-            }
-            const int64_t code = buf.dict->TryEncodeString(lit->str_value);
-            Instr in;
-            in.op = Op::kLoadCodeEq;
-            in.slot = slot;
-            in.level = buf.level;
-            in.buf = &buf;
-            in.imm_code =
-                code < 0 ? 0xFFFFFFFFu : static_cast<uint32_t>(code);
-            instrs_.push_back(in);
-            if (e.bin_op == BinOp::kNe) instrs_.push_back({Op::kNot});
-            return true;
-          }
-        }
-        if (!CompileNode(*e.children[0], slot_of_rel, rel_at)) return false;
-        if (!CompileNode(*e.children[1], slot_of_rel, rel_at)) return false;
-        Instr in;
-        switch (e.bin_op) {
-          case BinOp::kAdd:
-            in.op = Op::kAdd;
-            break;
-          case BinOp::kSub:
-            in.op = Op::kSub;
-            break;
-          case BinOp::kMul:
-            in.op = Op::kMul;
-            break;
-          case BinOp::kDiv:
-            in.op = Op::kDiv;
-            break;
-          case BinOp::kLt:
-            in.op = Op::kCmpLt;
-            break;
-          case BinOp::kLe:
-            in.op = Op::kCmpLe;
-            break;
-          case BinOp::kGt:
-            in.op = Op::kCmpGt;
-            break;
-          case BinOp::kGe:
-            in.op = Op::kCmpGe;
-            break;
-          case BinOp::kEq:
-            in.op = Op::kCmpEq;
-            break;
-          case BinOp::kNe:
-            in.op = Op::kCmpNe;
-            break;
-          case BinOp::kAnd:
-            in.op = Op::kAnd;
-            break;
-          case BinOp::kOr:
-            in.op = Op::kOr;
-            break;
-        }
-        instrs_.push_back(in);
-        return true;
-      }
-      default:
-        return false;
-    }
-  }
-
-  std::vector<Instr> instrs_;
-};
-
-// ---------------------------------------------------------------------------
 // WCOJ node execution (Algorithm 1 over tries).
 // ---------------------------------------------------------------------------
 
@@ -711,29 +373,6 @@ class NodeExec {
         }
       }
     }
-    // Compiled leaf expressions (codegen stand-in) for multi-relation
-    // aggregate arguments that need no per-row folding.
-    auto slot_of = [&](int rel) {
-      for (size_t s = 0; s < node_.relations.size(); ++s) {
-        if (node_.relations[s].rel == rel) return static_cast<int>(s);
-      }
-      return -1;
-    };
-    auto rel_at = [&](int slot) { return rels_[slot]; };
-    agg_progs_.resize(plan_.aggs.size());
-    agg_prog_ok_.assign(plan_.aggs.size(), 0);
-    for (size_t i = 0; i < plan_.aggs.size(); ++i) {
-      const AggExec& agg = plan_.aggs[i];
-      if (agg.arg == nullptr || agg.single_rel >= 0) continue;
-      // Compilation rejects loads below the queried levels, so programs
-      // are only used where a single per-leaf evaluation is correct.
-      if (!subrow_mode_ &&
-          LeafProgram::Compile(*agg.arg, slot_of, rel_at, &agg_progs_[i])) {
-        agg_prog_ok_[i] = 1;
-      } else {
-        agg_progs_[i] = LeafProgram();
-      }
-    }
     // Multiplicity-free fast path: every participating relation's queried
     // key prefix is duplicate-free. unique_keys now measures exactly that
     // (distinct queried prefixes == base rows), so unjoined deeper levels —
@@ -770,39 +409,6 @@ class NodeExec {
     if (fused_leaf_) {
       leaf_first_ = probe_[k - 1][0];
       leaf_second_ = full_[k - 1].empty() ? probe_[k - 1][1] : full_[k - 1][0];
-    }
-    fast_single_sum_ = plan_.aggs.size() == 1 &&
-                       plan_.aggs[0].func == AggFunc::kSum &&
-                       !agg_prog_ok_.empty() && agg_prog_ok_[0] &&
-                       all_unique_;
-    // The single SUM's real-product operands, resolved once for the loops
-    // that multiply annotation buffers directly.
-    int sa, la, sb, lb;
-    const double *pa, *pb;
-    if (fast_single_sum_ &&
-        agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb)) {
-      auto at = [](const Participant& p, int s, int l) {
-        return p.slot == s && p.level == l;
-      };
-      if (fused_leaf_ && at(leaf_first_, sa, la) && at(leaf_second_, sb, lb)) {
-        leaf_first_vals_ = pa;
-        leaf_second_vals_ = pb;
-      } else if (fused_leaf_ && at(leaf_first_, sb, lb) &&
-                 at(leaf_second_, sa, la)) {
-        leaf_first_vals_ = pb;
-        leaf_second_vals_ = pa;
-      }
-      if (node_.union_relaxed && last.size() == 1 && !last[0].is_child) {
-        if (at(last[0], sa, la)) {
-          relax_var_vals_ = pa;
-          relax_fixed_vals_ = pb;
-          relax_fixed_ = {sb, lb, false};
-        } else if (at(last[0], sb, lb)) {
-          relax_var_vals_ = pb;
-          relax_fixed_vals_ = pa;
-          relax_fixed_ = {sa, la, false};
-        }
-      }
     }
   }
 
@@ -842,9 +448,11 @@ class NodeExec {
   // LH_THREADS and any shard count). Scheduling only changes which worker
   // executes a given chunk or task.
 
-  /// Computes the root set and the chunk layout on the calling thread.
-  /// After this, num_chunks() chunks (possibly zero) are runnable.
-  void PrepareChunks() {
+  /// Compiles the leaf programs, then computes the root set and the chunk
+  /// layout on the calling thread. After this, num_chunks() chunks
+  /// (possibly zero) are runnable.
+  [[nodiscard]] Status PrepareChunks() {
+    LH_RETURN_NOT_OK(CompileNodePrograms());
     key_width_ = dims_->size();
     append_mode_ = !dims_->empty();
     max_dim_pos_ = -1;
@@ -858,7 +466,7 @@ class NodeExec {
     seed_ = std::make_unique<Worker>();
     InitWorker(seed_.get(), key_width_);
     const SetView* root = ComputeSet(seed_.get(), 0);
-    if (root->empty()) return;  // num_chunks_ stays 0
+    if (root->empty()) return Status::OK();  // num_chunks_ stays 0
     root_values_ = root->ToVector();
     root_base_ = seed_->single_base[0];
     const int64_t n = static_cast<int64_t>(root_values_.size());
@@ -867,6 +475,7 @@ class NodeExec {
     skew_threshold_ = SplittableShape(k) ? SkewThreshold() : 0;
     chunk_out_.resize(num_chunks_);
     chunk_pool_.resize(num_chunks_);
+    return Status::OK();
   }
 
   int64_t num_chunks() const { return num_chunks_; }
@@ -964,6 +573,7 @@ class NodeExec {
     std::vector<uint32_t> vals;
     std::vector<int64_t> single_base;  // per depth: sole participant's base
     std::vector<uint32_t> subrow;  // per slot: current row-level index
+    std::vector<uint32_t> sources;  // per LeafSource: the current index
     GroupAccum* groups = nullptr;
     std::vector<double> agg_main, agg_aux;
     std::vector<uint64_t> group_key;
@@ -1088,6 +698,7 @@ class NodeExec {
     w->vals.assign(k, 0);
     w->single_base.assign(k, -1);
     w->subrow.assign(rels_.size(), 0);
+    w->sources.assign(sources_.size(), 0);
     w->agg_main.assign(std::max<size_t>(1, plan_.aggs.size()), 0);
     w->agg_aux.assign(std::max<size_t>(1, plan_.aggs.size()), 0);
     w->group_key.assign(key_width, 0);
@@ -1409,8 +1020,8 @@ class NodeExec {
     // tightest interpreted loops we can produce.
     w->leaf_count += n;
     auto eval = [&] {
-      return agg_progs_[0].Eval(
-          [&](int slot, int level) { return RankCursor(*w, slot, level); });
+      LoadSources(w);
+      return agg_progs_[0].EvalAt(w->sources.data());
     };
     if (max_dim_pos_ >= depth) {
       each([&](uint32_t v, uint32_t rf, uint32_t rs) {
@@ -1554,6 +1165,7 @@ class NodeExec {
       sm->ForEach([&](uint32_t m, uint32_t rm) {
         if (!Descend(w, depth + 1, m, rm)) return;
         w->vals[depth + 1] = m;
+        LoadSources(w);
         ComputeDeltas(w);
         double* acc = w->relax_acc.data() + static_cast<size_t>(m) * stride;
         if (!bits::TestBit(w->relax_occ.data(), m)) {
@@ -1562,7 +1174,7 @@ class NodeExec {
           for (size_t i = 0; i < plan_.aggs.size(); ++i) {
             switch (plan_.aggs[i].func) {
               case AggFunc::kMin:
-                acc[2 * i] = std::numeric_limits<double>::infinity();
+                acc[2 * i] = std::numeric_limits<double>::quiet_NaN();
                 break;
               case AggFunc::kMax:
                 acc[2 * i] = -std::numeric_limits<double>::infinity();
@@ -1580,74 +1192,175 @@ class NodeExec {
     FlushRelaxed(w, stride);
   }
 
-  /// CellAccessor over the current leaf.
-  class LeafAccessor : public CellAccessor {
-   public:
-    LeafAccessor(const NodeExec& exec, Worker& w) : exec_(exec), w_(w) {}
+  // ---- Leaf programs. Every multi-relation aggregate argument and every
+  // non-key GROUP BY dimension is an ExprProgram compiled once per node;
+  // its loads read annotation buffers at the leaf's index sources, which
+  // LoadSources fills before the programs run.
 
-    double Number(int rel, int col) const override {
-      uint32_t rank = 0;
-      const AnnotationBuffer* buf = Find(rel, col, &rank);
-      return buf->AsDouble(rank);
-    }
-    int64_t Code(int rel, int col) const override {
-      uint32_t rank = 0;
-      const AnnotationBuffer* buf = Find(rel, col, &rank);
-      return buf->codes.empty() ? -1 : buf->codes[rank];
-    }
-    const Dictionary* Dict(int rel, int col) const override {
-      uint32_t rank = 0;
-      const AnnotationBuffer* buf = Find(rel, col, &rank);
-      return buf->dict;
-    }
-
-   private:
-    const AnnotationBuffer* Find(int rel, int col, uint32_t* rank) const {
-      for (size_t s = 0; s < exec_.node_.relations.size(); ++s) {
-        if (exec_.node_.relations[s].rel != rel) continue;
-        const BuiltRelation& br = *exec_.rels_[s];
-        const int a = br.annot_of_col[col];
-        LH_CHECK(a >= 0) << "unplanned annotation access";
-        const AnnotationBuffer& buf = br.trie->annotation(a);
-        // Annotations below the queried levels are addressed through the
-        // per-base-row cursor set by the subrow-mode leaf (translated when
-        // the annotation attaches above the trie's own leaf level).
-        if (buf.level < br.num_query_levels) {
-          *rank = RankCursor(w_, s, buf.level);
-        } else if (buf.level + 1 == br.trie->num_levels()) {
-          *rank = w_.subrow[s];
-        } else {
-          *rank = br.trie->level(buf.level).AncestorOfLeaf(w_.subrow[s]);
-        }
-        return &buf;
-      }
-      for (size_t i = 0; i < exec_.lookups_.size(); ++i) {
-        if (exec_.lookup_rel_ids_[i] != rel) continue;
-        const BuiltRelation& br = *exec_.lookups_[i];
-        const uint32_t value = w_.vals[exec_.lookup_positions_[i]];
-        // A full root needs no probe: value v has rank v (lookup tries
-        // are eager).
-        const TrieLevel& root = br.trie->level(0);
-        int64_t r;
-        if (root.all_full()) {
-          r = value < root.full_size() ? value : -1;
-          ++w_.elided;
-        } else {
-          r = root.set(0).Rank(value);
-        }
-        LH_CHECK(r >= 0) << "lookup value missing from lookup trie";
-        const int a = br.annot_of_col[col];
-        LH_CHECK(a >= 0) << "unplanned lookup annotation";
-        *rank = static_cast<uint32_t>(r);
-        return &br.trie->annotation(a);
-      }
-      LH_CHECK(false) << "annotation access for unknown relation " << rel;
-      return nullptr;
-    }
-
-    const NodeExec& exec_;
-    Worker& w_;
+  /// Where a leaf program's load finds its index.
+  struct LeafSource {
+    enum class Kind : uint8_t {
+      kRank,    // the rank cursor ranks[slot][level]
+      kLookup,  // lookup relation `slot`'s root rank of its vertex value
+      kSubrow,  // iterated relation `slot`'s current base row, translated
+                // to trie level `level`
+    };
+    Kind kind;
+    int slot;
+    int level;
+    bool operator==(const LeafSource&) const = default;
   };
+
+  /// Compiles the node's leaf programs once, on the calling thread. Bound
+  /// expressions always compile; a rejection is an engine bug.
+  Status CompileNodePrograms() {
+    const ColumnResolver resolve = [this](int rel, int col,
+                                          ColumnSource* out) {
+      return ResolveLeafColumn(rel, col, out);
+    };
+    agg_progs_.resize(plan_.aggs.size());
+    for (size_t i = 0; i < plan_.aggs.size(); ++i) {
+      const AggExec& agg = plan_.aggs[i];
+      if (agg.arg == nullptr || agg.single_rel >= 0) continue;
+      LH_RETURN_NOT_OK(ExprProgram::Compile(*agg.arg, resolve, &agg_progs_[i]));
+    }
+    dim_progs_.resize(dims_->size());
+    dim_codes_.resize(dims_->size());
+    for (size_t d = 0; d < dims_->size(); ++d) {
+      const Expr& e = *plan_.dims[d].expr;
+      switch ((*dims_)[d].kind) {
+        case DimKind::kKeyVertex:
+          break;
+        case DimKind::kStringCode:
+          // ClassifyDim only yields kStringCode for a bare column.
+          if (!resolve(e.bound_rel, e.bound_col, &dim_codes_[d])) {
+            return Status::Internal("group dimension " + e.ToString() +
+                                    " is not readable at the leaf");
+          }
+          break;
+        case DimKind::kInt:
+        case DimKind::kDate:
+        case DimKind::kReal:
+          LH_RETURN_NOT_OK(ExprProgram::Compile(e, resolve, &dim_progs_[d]));
+          break;
+      }
+    }
+    // Multiplicity-free single SUM: the fused and relaxed loops accumulate
+    // it directly, and a real product of two rank-addressed buffers runs as
+    // an array kernel (resolved once here, not per row).
+    fast_single_sum_ = plan_.aggs.size() == 1 &&
+                       plan_.aggs[0].func == AggFunc::kSum &&
+                       plan_.aggs[0].arg != nullptr &&
+                       plan_.aggs[0].single_rel < 0 && !subrow_mode_ &&
+                       all_unique_;
+    int sa, sb;
+    const double *pa, *pb;
+    if (!fast_single_sum_ ||
+        !agg_progs_[0].AsRealProduct(&sa, &pa, &sb, &pb) ||
+        sources_[sa].kind != LeafSource::Kind::kRank ||
+        sources_[sb].kind != LeafSource::Kind::kRank) {
+      return Status::OK();
+    }
+    const LeafSource a = sources_[sa];
+    const LeafSource b = sources_[sb];
+    auto at = [](const Participant& p, const LeafSource& src) {
+      return p.slot == src.slot && p.level == src.level;
+    };
+    if (fused_leaf_ && at(leaf_first_, a) && at(leaf_second_, b)) {
+      leaf_first_vals_ = pa;
+      leaf_second_vals_ = pb;
+    } else if (fused_leaf_ && at(leaf_first_, b) && at(leaf_second_, a)) {
+      leaf_first_vals_ = pb;
+      leaf_second_vals_ = pa;
+    }
+    const auto& last = participants_.back();
+    if (node_.union_relaxed && last.size() == 1 && !last[0].is_child) {
+      if (at(last[0], a)) {
+        relax_var_vals_ = pa;
+        relax_fixed_vals_ = pb;
+        relax_fixed_ = {b.slot, b.level, false};
+      } else if (at(last[0], b)) {
+        relax_var_vals_ = pb;
+        relax_fixed_vals_ = pa;
+        relax_fixed_ = {a.slot, a.level, false};
+      }
+    }
+    return Status::OK();
+  }
+
+  /// The column resolver of the leaf programs: a relation's annotation
+  /// buffer at its rank cursor (or, below the queried levels, at the
+  /// subrow-mode leaf's base row), or a lookup relation's at its root rank.
+  bool ResolveLeafColumn(int rel, int col, ColumnSource* out) {
+    const AnnotationBuffer* buf = nullptr;
+    LeafSource src{};
+    for (size_t s = 0; s < node_.relations.size() && buf == nullptr; ++s) {
+      if (node_.relations[s].rel != rel) continue;
+      const BuiltRelation& br = *rels_[s];
+      const int a = br.annot_of_col[col];
+      if (a < 0) return false;
+      buf = &br.trie->annotation(a);
+      const int slot = static_cast<int>(s);
+      if (buf->level < br.num_query_levels) {
+        src = {LeafSource::Kind::kRank, slot, buf->level};
+      } else {
+        LH_DCHECK(iterated_[s]);
+        src = {LeafSource::Kind::kSubrow, slot, buf->level};
+      }
+    }
+    for (size_t i = 0; i < lookups_.size() && buf == nullptr; ++i) {
+      if (lookup_rel_ids_[i] != rel) continue;
+      const int a = lookups_[i]->annot_of_col[col];
+      if (a < 0) return false;
+      buf = &lookups_[i]->trie->annotation(a);
+      src = {LeafSource::Kind::kLookup, static_cast<int>(i), 0};
+    }
+    if (buf == nullptr) return false;
+    *out = AnnotationColumn(*buf);
+    const auto it = std::find(sources_.begin(), sources_.end(), src);
+    out->source = static_cast<int>(it - sources_.begin());
+    if (it == sources_.end()) sources_.push_back(src);
+    return true;
+  }
+
+  /// Fills w->sources for the current leaf: one index per LeafSource.
+  void LoadSources(Worker* w) const {
+    for (size_t i = 0; i < sources_.size(); ++i) {
+      const LeafSource& src = sources_[i];
+      switch (src.kind) {
+        case LeafSource::Kind::kRank:
+          w->sources[i] = RankCursor(*w, src.slot, src.level);
+          break;
+        case LeafSource::Kind::kLookup:
+          w->sources[i] = LookupRank(w, src.slot);
+          break;
+        case LeafSource::Kind::kSubrow: {
+          const Trie& trie = *rels_[src.slot]->trie;
+          const uint32_t row = w->subrow[src.slot];
+          w->sources[i] = src.level + 1 == trie.num_levels()
+                              ? row
+                              : trie.level(src.level).AncestorOfLeaf(row);
+          break;
+        }
+      }
+    }
+  }
+
+  /// Root rank of lookup relation `i` at its vertex's current value. A
+  /// full root needs no probe: value v has rank v (lookup tries are eager).
+  uint32_t LookupRank(Worker* w, int i) const {
+    const uint32_t value = w->vals[lookup_positions_[i]];
+    const TrieLevel& root = lookups_[i]->trie->level(0);
+    int64_t r;
+    if (root.all_full()) {
+      r = value < root.full_size() ? value : -1;
+      ++w->elided;
+    } else {
+      r = root.set(0).Rank(value);
+    }
+    LH_CHECK(r >= 0) << "lookup value missing from lookup trie";
+    return static_cast<uint32_t>(r);
+  }
 
   /// Annotation value at the current position, range-aggregated over
   /// unjoined deeper levels (attribute-elimination ablation).
@@ -1670,9 +1383,9 @@ class NodeExec {
       if (merge == AnnotationMerge::kSum) {
         acc += v;
       } else if (merge == AnnotationMerge::kMin) {
-        acc = std::min(acc, v);
+        acc = TotalMin(acc, v);
       } else {
-        acc = std::max(acc, v);
+        acc = TotalMax(acc, v);
       }
     }
     return acc;
@@ -1728,6 +1441,7 @@ class NodeExec {
     }
     while (true) {
       ++w->leaf_count;
+      LoadSources(w);
       ComputeDeltas(w);
       double* acc;
       if (dims_->empty()) {
@@ -1747,8 +1461,9 @@ class NodeExec {
     }
   }
 
+  /// The leaf's aggregate deltas into agg_main/agg_aux. Leaf programs
+  /// read w->sources, so LoadSources must have run for this leaf.
   void ComputeDeltas(Worker* w) {
-    LeafAccessor cells(*this, *w);
     double total_count = 1.0;
     if (!all_unique_) {
       for (size_t s = 0; s < node_.relations.size(); ++s) {
@@ -1773,12 +1488,8 @@ class NodeExec {
           if (agg.single_rel >= 0) {
             const int s = SlotOfRel(agg.single_rel);
             v = AnnotValuePoint(w, s, rels_[s]->agg_annot[i]);
-          } else if (agg_prog_ok_[i]) {
-            v = agg_progs_[i].Eval([&](int slot, int level) {
-              return RankCursor(*w, slot, level);
-            });
           } else {
-            v = EvalNumber(*agg.arg, cells);
+            v = agg_progs_[i].EvalAt(w->sources.data());
           }
           w->agg_main[i] = v;
           w->agg_aux[i] = 0;
@@ -1803,15 +1514,8 @@ class NodeExec {
               }
             }
           } else {
-            if (agg.arg == nullptr) {
-              v = 1.0;
-            } else if (agg_prog_ok_[i]) {
-              v = agg_progs_[i].Eval([&](int slot, int level) {
-                return RankCursor(*w, slot, level);
-              });
-            } else {
-              v = EvalNumber(*agg.arg, cells);
-            }
+            v = agg.arg == nullptr ? 1.0
+                                   : agg_progs_[i].EvalAt(w->sources.data());
             // The argument value is constant across each relation's merged
             // rows (iterated relations are enumerated, with count 1), so
             // every relation's multiplicity multiplies.
@@ -1838,27 +1542,25 @@ class NodeExec {
     return -1;
   }
 
-  void EncodeGroupKey(Worker* w) {
-    LeafAccessor cells(*this, *w);
+  /// The leaf's group key into w->group_key. Non-key dimensions read
+  /// w->sources, so LoadSources must have run for this leaf.
+  void EncodeGroupKey(Worker* w) const {
     for (size_t d = 0; d < dims_->size(); ++d) {
-      const DimInfo& info = (*dims_)[d];
-      const GroupDimExec& dim = plan_.dims[d];
       uint64_t enc = 0;
-      switch (info.kind) {
+      switch ((*dims_)[d].kind) {
         case DimKind::kKeyVertex:
-          enc = w->vals[info.vertex_pos];
+          enc = w->vals[(*dims_)[d].vertex_pos];
           break;
         case DimKind::kStringCode:
-          enc = static_cast<uint64_t>(
-              cells.Code(dim.expr->bound_rel, dim.expr->bound_col));
+          enc = dim_codes_[d].codes[w->sources[dim_codes_[d].source]];
           break;
         case DimKind::kInt:
         case DimKind::kDate:
-          enc = static_cast<uint64_t>(
-              static_cast<int64_t>(EvalNumber(*dim.expr, cells)));
+          enc = static_cast<uint64_t>(static_cast<int64_t>(
+              dim_progs_[d].EvalAt(w->sources.data())));
           break;
         case DimKind::kReal:
-          enc = BitcastDouble(EvalNumber(*dim.expr, cells));
+          enc = RealKeyBits(dim_progs_[d].EvalAt(w->sources.data()));
           break;
       }
       w->group_key[d] = enc;
@@ -1871,6 +1573,7 @@ class NodeExec {
       return;
     }
     ++w->leaf_count;
+    LoadSources(w);
     ComputeDeltas(w);
     double* acc;
     if (dims_->empty()) {
@@ -1894,8 +1597,12 @@ class NodeExec {
   std::vector<std::vector<Participant>> participants_;
   std::vector<bool> iterated_;  // per slot: leaf enumerates its base rows
   bool subrow_mode_ = false;
-  std::vector<LeafProgram> agg_progs_;
-  std::vector<uint8_t> agg_prog_ok_;
+  // Leaf programs: per aggregate slot (multi-relation arguments), per
+  // non-key dimension, and the index sources their loads read.
+  std::vector<ExprProgram> agg_progs_;
+  std::vector<ExprProgram> dim_progs_;     // kInt / kDate / kReal dims
+  std::vector<ColumnSource> dim_codes_;    // kStringCode dims
+  std::vector<LeafSource> sources_;
   bool all_unique_ = false;
   bool fast_single_sum_ = false;
   int max_dim_pos_ = -1;
@@ -1980,26 +1687,13 @@ struct ScanState {
   Status Init() {
     span.SetDetail(table.schema().name());
     span.AddMetric("rows", static_cast<double>(table.num_rows()));
-    // The fused kernel (compiled at plan time) owns filtering; the
-    // RowFilter is only compiled for the tree-walking fallback loop.
+    // The fused kernel, compiled at plan time, is the whole scan.
     cscan = plan.compiled_scan.get();
     if (cscan == nullptr) {
-      std::vector<const Expr*> conjuncts;
-      for (const ExprPtr& f : plan.query.relations[0].filters) {
-        conjuncts.push_back(f.get());
-      }
-      LH_ASSIGN_OR_RETURN(
-          filter,
-          RowFilter::Compile(conjuncts, table, plan.options.use_expr_vm));
+      return Status::Internal("scan plan without a compiled scan kernel");
     }
     for (const GroupDimExec& d : plan.dims) {
       dim_infos.push_back(ClassifyDim(d, plan, catalog, /*join_path=*/false));
-    }
-    // Columns touched when attribute elimination is disabled: all of them.
-    if (!plan.options.use_attribute_elimination) {
-      for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-        all_numeric_cols.push_back(static_cast<int>(c));
-      }
     }
     key_width = plan.dims.size();
     num_rows = static_cast<int64_t>(table.num_rows());
@@ -2015,41 +1709,14 @@ struct ScanState {
     const int64_t hi = std::min(num_rows, lo + grain);
     partials[chunk] = std::make_unique<GroupAccum>(key_width, &plan.aggs);
     GroupAccum& groups = *partials[chunk];
-    if (cscan != nullptr) {
-      // Compiled path: the fused kernel consumes the chunk whole; the
-      // poll closure reproduces the interpreter's 1024-row guard
-      // cadence and abort protocol.
-      std::function<bool()> poll;
-      if (guard_active) {
-        poll = [&]() {
-          // Relaxed: poll of the stop flag; a stale false only costs
-          // the worker extra iterations whose output is discarded.
-          if (aborted.load(std::memory_order_relaxed)) return false;
-          Status s = guard->Check();
-          if (s.ok()) s = guard->CheckRows(groups.num_groups());
-          if (!s.ok()) {
-            MutexLock lock(&abort_mu);
-            if (abort_status.ok()) abort_status = std::move(s);
-            // Release: pairs with the coordinator's acquire in Gather.
-            aborted.store(true, std::memory_order_release);
-            return false;
-          }
-          return true;
-        };
-      }
-      cscan->ExecuteChunk(lo, hi, &groups, poll);
-      return;
-    }
-    TableRowCells cells(table);
-    std::vector<uint64_t> key(key_width);
-    std::vector<double> main(std::max<size_t>(1, plan.aggs.size()));
-    std::vector<double> aux(std::max<size_t>(1, plan.aggs.size()));
-    uint64_t local_sink = 0;
-    for (int64_t row = lo; row < hi; ++row) {
-      if (guard_active && ((row - lo) & 1023) == 0) {
+    // The fused kernel consumes the chunk whole; the poll closure runs the
+    // guard check and abort protocol every 1024 rows.
+    std::function<bool()> poll;
+    if (guard_active) {
+      poll = [&]() {
         // Relaxed: poll of the stop flag; a stale false only costs the
         // worker extra iterations whose output is discarded.
-        if (aborted.load(std::memory_order_relaxed)) break;
+        if (aborted.load(std::memory_order_relaxed)) return false;
         Status s = guard->Check();
         if (s.ok()) s = guard->CheckRows(groups.num_groups());
         if (!s.ok()) {
@@ -2057,60 +1724,15 @@ struct ScanState {
           if (abort_status.ok()) abort_status = std::move(s);
           // Release: pairs with the coordinator's acquire in Gather.
           aborted.store(true, std::memory_order_release);
-          break;
+          return false;
         }
-      }
-      if (!filter.Matches(static_cast<uint32_t>(row))) continue;
-      cells.row = static_cast<uint32_t>(row);
-      // The -Attr.Elim arm reads every column of each surviving row
-      // (row-store behavior) instead of only the referenced ones.
-      for (int c : all_numeric_cols) {
-        local_sink += static_cast<uint64_t>(cells.Number(0, c));
-      }
-      for (size_t d = 0; d < plan.dims.size(); ++d) {
-        const GroupDimExec& dim = plan.dims[d];
-        switch (dim_infos[d].kind) {
-          case DimKind::kKeyVertex:
-            LH_CHECK(false) << "key-vertex dim on scan path";
-            break;
-          case DimKind::kStringCode:
-            key[d] = static_cast<uint64_t>(
-                cells.Code(0, dim.expr->bound_col));
-            break;
-          case DimKind::kInt:
-          case DimKind::kDate:
-            key[d] = static_cast<uint64_t>(
-                static_cast<int64_t>(EvalNumber(*dim.expr, cells)));
-            break;
-          case DimKind::kReal:
-            key[d] = BitcastDouble(EvalNumber(*dim.expr, cells));
-            break;
-        }
-      }
-      for (size_t i = 0; i < plan.aggs.size(); ++i) {
-        const AggExec& agg = plan.aggs[i];
-        switch (agg.func) {
-          case AggFunc::kCount:
-            main[i] = 1;
-            aux[i] = 0;
-            break;
-          case AggFunc::kAvg:
-            main[i] = EvalNumber(*agg.arg, cells);
-            aux[i] = 1;
-            break;
-          default:
-            main[i] = agg.arg == nullptr ? 1 : EvalNumber(*agg.arg, cells);
-            aux[i] = 0;
-            break;
-        }
-      }
-      double* acc = key_width == 0 ? groups.ScalarGroup()
-                                   : groups.FindOrCreate(key.data());
-      groups.Apply(acc, main.data(), aux.data());
+        return true;
+      };
     }
-    // Relaxed: plain accumulation; the chunk-run join (ParallelChunks or
-    // the router's TaskGroup waits) orders the total before Gather reads.
-    sink.fetch_add(local_sink, std::memory_order_relaxed);
+    const uint64_t touched = cscan->ExecuteChunk(lo, hi, &groups, poll);
+    // Relaxed: keeps the -Attr.Elim arm's reads observable; nothing is
+    // published through it.
+    sink.fetch_add(touched, std::memory_order_relaxed);
   }
 
   Result<QueryResult> Gather() {
@@ -2144,9 +1766,7 @@ struct ScanState {
   obs::TraceSpan span;
 
   const CompiledScan* cscan = nullptr;
-  RowFilter filter;
   std::vector<DimInfo> dim_infos;
-  std::vector<int> all_numeric_cols;
   size_t key_width = 0;
   int64_t num_rows = 0;
   int64_t grain = 1;
@@ -2479,8 +2099,7 @@ struct JoinState {
     }
     wcoj_span.emplace(trace, "wcoj");
     wcoj_span->SetDetail("root, order " + plan.RootOrderString());
-    root->PrepareChunks();
-    return Status::OK();
+    return root->PrepareChunks();
   }
 
   void RunChunk(int64_t chunk, ThreadPool& pool) {

@@ -6,6 +6,7 @@
 #include "obs/stats.h"
 #include "util/date.h"
 #include "util/logging.h"
+#include "util/total_order.h"
 
 namespace levelheaded {
 
@@ -125,9 +126,8 @@ bool EvalBool(const Expr& e, const CellAccessor& cells) {
             int cmp = StringOf(l, cells).compare(StringOf(r, cells));
             return CompareOp(e.bin_op, cmp);
           }
-          double lv = EvalNumber(l, cells), rv = EvalNumber(r, cells);
-          int cmp = lv < rv ? -1 : (lv > rv ? 1 : 0);
-          return CompareOp(e.bin_op, cmp);
+          return CompareOp(e.bin_op, TotalCompare(EvalNumber(l, cells),
+                                                  EvalNumber(r, cells)));
         }
         default:
           return EvalNumber(e, cells) != 0;
@@ -148,9 +148,9 @@ bool EvalBool(const Expr& e, const CellAccessor& cells) {
       return matcher.Matches(StringOf(*e.children[0], cells));
     }
     case Expr::Kind::kBetween: {
-      double v = EvalNumber(*e.children[0], cells);
-      return v >= EvalNumber(*e.children[1], cells) &&
-             v <= EvalNumber(*e.children[2], cells);
+      const double v = EvalNumber(*e.children[0], cells);
+      return TotalLessEqual(EvalNumber(*e.children[1], cells), v) &&
+             TotalLessEqual(v, EvalNumber(*e.children[2], cells));
     }
     default:
       return EvalNumber(e, cells) != 0;
@@ -184,39 +184,6 @@ Value EvalValue(const Expr& e, const CellAccessor& cells) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// CellAccessor over one row of one table; the expressions all reference a
-/// single relation, so `rel` is ignored.
-class TableRowAccessor : public CellAccessor {
- public:
-  TableRowAccessor(const Table& table, uint32_t row)
-      : table_(table), row_(row) {}
-
-  void set_row(uint32_t row) { row_ = row; }
-
-  double Number(int, int col) const override {
-    const ColumnData& c = table_.column(col);
-    if (!c.ints.empty()) return static_cast<double>(c.ints[row_]);
-    if (!c.reals.empty()) return c.reals[row_];
-    return static_cast<double>(c.codes[row_]);
-  }
-  int64_t Code(int, int col) const override {
-    const ColumnData& c = table_.column(col);
-    if (c.dict == nullptr || c.dict->type() != ValueType::kString) return -1;
-    return c.codes[row_];
-  }
-  const Dictionary* Dict(int, int col) const override {
-    const ColumnData& c = table_.column(col);
-    if (c.dict == nullptr || c.dict->type() != ValueType::kString) {
-      return nullptr;
-    }
-    return c.dict;
-  }
-
- private:
-  const Table& table_;
-  uint32_t row_;
-};
 
 bool IsLiteral(const Expr& e) {
   switch (e.kind) {
@@ -254,14 +221,11 @@ BinOp FlipCmp(BinOp op) {
 }  // namespace
 
 Result<RowFilter> RowFilter::Compile(
-    const std::vector<const Expr*>& conjuncts, const Table& table,
-    bool use_vm) {
+    const std::vector<const Expr*>& conjuncts, const Table& table) {
   RowFilter filter;
   filter.table_ = &table;
   for (const Expr* e : conjuncts) {
     Pred pred;
-    pred.kind = Pred::Kind::kGeneric;
-    pred.generic = e;
 
     // <colref> <cmp> <literal>  (either side)
     if (e->kind == Expr::Kind::kBinary && e->children.size() == 2) {
@@ -279,9 +243,8 @@ Result<RowFilter> RowFilter::Compile(
         const bool is_string =
             cd.dict != nullptr && cd.dict->type() == ValueType::kString;
         const bool lit_string = lit->kind == Expr::Kind::kStringLiteral;
-        // A string/numeric type mismatch would reach the generic
-        // evaluator's LH_CHECK aborts; fail the compile instead. The
-        // binder rejects such queries up front — this guards direct
+        // A string/numeric type mismatch has no meaning; fail the compile.
+        // The binder rejects such queries up front — this guards direct
         // RowFilter users.
         if (is_string != lit_string) {
           return Status::InvalidArgument(
@@ -297,7 +260,8 @@ Result<RowFilter> RowFilter::Compile(
           filter.preds_.push_back(std::move(pred));
           continue;
         }
-        if (!is_string && !lit_string) {
+        // A NaN threshold takes the program path below.
+        if (!is_string && !lit_string && !std::isnan(LiteralNumber(*lit))) {
           pred.kind = Pred::Kind::kNumCmp;
           pred.col = col->bound_col;
           pred.op = op;
@@ -326,12 +290,15 @@ Result<RowFilter> RowFilter::Compile(
             "BETWEEN over string operands is not supported: '" +
             e->ToString() + "'");
       }
-      pred.kind = Pred::Kind::kNumBetween;
-      pred.col = e->children[0]->bound_col;
       pred.lo = LiteralNumber(*e->children[1]);
       pred.hi = LiteralNumber(*e->children[2]);
-      filter.preds_.push_back(std::move(pred));
-      continue;
+      // NaN bounds take the program path below.
+      if (!std::isnan(pred.lo) && !std::isnan(pred.hi)) {
+        pred.kind = Pred::Kind::kNumBetween;
+        pred.col = e->children[0]->bound_col;
+        filter.preds_.push_back(std::move(pred));
+        continue;
+      }
     }
     // <string colref> LIKE '<pattern>' -> dictionary bitmap
     if (e->kind == Expr::Kind::kLike &&
@@ -353,82 +320,12 @@ Result<RowFilter> RowFilter::Compile(
         continue;
       }
     }
-    // Outside the typed fast paths: compile to bytecode for vectorized
-    // evaluation; the per-row tree walker is the last resort.
-    if (use_vm && ExprProgram::Compile(*e, table, &pred.prog)) {
-      pred.kind = Pred::Kind::kProgram;
-    }
+    // Everything else runs as bytecode, vectorized.
+    LH_RETURN_NOT_OK(
+        ExprProgram::Compile(*e, TableResolver(table), &pred.prog));
     filter.preds_.push_back(std::move(pred));
   }
   return filter;
-}
-
-bool RowFilter::Matches(uint32_t row) const {
-  for (const Pred& p : preds_) {
-    switch (p.kind) {
-      case Pred::Kind::kNumCmp: {
-        const ColumnData& c = table_->column(p.col);
-        double v = !c.ints.empty() ? static_cast<double>(c.ints[row])
-                                   : c.reals[row];
-        bool ok;
-        switch (p.op) {
-          case BinOp::kEq:
-            ok = v == p.lo;
-            break;
-          case BinOp::kNe:
-            ok = v != p.lo;
-            break;
-          case BinOp::kLt:
-            ok = v < p.lo;
-            break;
-          case BinOp::kLe:
-            ok = v <= p.lo;
-            break;
-          case BinOp::kGt:
-            ok = v > p.lo;
-            break;
-          default:
-            ok = v >= p.lo;
-            break;
-        }
-        if (!ok) return false;
-        break;
-      }
-      case Pred::Kind::kNumBetween: {
-        const ColumnData& c = table_->column(p.col);
-        double v = !c.ints.empty() ? static_cast<double>(c.ints[row])
-                                   : c.reals[row];
-        if (v < p.lo || v > p.hi) return false;
-        break;
-      }
-      case Pred::Kind::kCodeEq:
-        if (p.rhs_code < 0 ||
-            table_->column(p.col).codes[row] !=
-                static_cast<uint32_t>(p.rhs_code)) {
-          return false;
-        }
-        break;
-      case Pred::Kind::kCodeNe:
-        if (p.rhs_code >= 0 &&
-            table_->column(p.col).codes[row] ==
-                static_cast<uint32_t>(p.rhs_code)) {
-          return false;
-        }
-        break;
-      case Pred::Kind::kDictBitmap:
-        if (!p.bitmap[table_->column(p.col).codes[row]]) return false;
-        break;
-      case Pred::Kind::kProgram:
-        if (!p.prog.EvalBoolRow(row)) return false;
-        break;
-      case Pred::Kind::kGeneric: {
-        TableRowAccessor cells(*table_, row);
-        if (!EvalBool(*p.generic, cells)) return false;
-        break;
-      }
-    }
-  }
-  return true;
 }
 
 int RowFilter::CompactPred(const Pred& p, uint32_t base,
@@ -472,11 +369,13 @@ int RowFilter::CompactPred(const Pred& p, uint32_t base,
           case BinOp::kLe:
             compact([t](double v) { return v <= t; });
             break;
+          // The total order puts NaN above every (non-NaN) threshold, so
+          // v > t is !(v <= t) and v >= t is !(v < t).
           case BinOp::kGt:
-            compact([t](double v) { return v > t; });
+            compact([t](double v) { return !(v <= t); });
             break;
           default:
-            compact([t](double v) { return v >= t; });
+            compact([t](double v) { return !(v < t); });
             break;
         }
         break;
@@ -489,6 +388,8 @@ int RowFilter::CompactPred(const Pred& p, uint32_t base,
           const uint32_t row = row_at(j);
           const double v = ints != nullptr ? static_cast<double>(ints[row])
                                            : reals[row];
+          // With non-NaN bounds this is the total order as written: a
+          // NaN value sits above hi.
           sel_out[k] = row;
           k += (v >= p.lo && v <= p.hi) ? 1 : 0;
         }
@@ -543,15 +444,6 @@ int RowFilter::CompactPred(const Pred& p, uint32_t base,
             sel_out[k] = sel_in[j];
             k += buf[j] != 0 ? 1 : 0;
           }
-        }
-        break;
-      }
-      case Pred::Kind::kGeneric: {
-        TableRowAccessor cells(*table_, 0);
-        for (int j = 0; j < n; ++j) {
-          const uint32_t row = row_at(j);
-          cells.set_row(row);
-          if (EvalBool(*p.generic, cells)) sel_out[k++] = row;
         }
         break;
       }

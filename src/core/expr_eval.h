@@ -1,7 +1,9 @@
 // Bound-expression evaluation: a generic tree-walking evaluator over an
-// abstract cell accessor (used by the reference paths, leaf expressions,
-// and group-by dimensions) plus RowFilter, a compiled row predicate used
-// for selection pushdown ahead of trie construction (hot path).
+// abstract cell accessor, plus RowFilter, a compiled row predicate used for
+// selection pushdown ahead of trie construction and in fused scans (hot
+// path). The engine itself evaluates rows only through ExprProgram
+// (core/expr_vm.h); the walker serves the pairwise baseline and is the
+// tests' oracle. Both compare numbers under util/total_order.h.
 
 #ifndef LEVELHEADED_CORE_EXPR_EVAL_H_
 #define LEVELHEADED_CORE_EXPR_EVAL_H_
@@ -51,19 +53,14 @@ Value EvalValue(const Expr& e, const CellAccessor& cells);
 /// A compiled conjunction of single-relation predicates over a table.
 /// Typed fast paths cover the common TPC-H filter shapes (numeric/date
 /// comparisons, string equality, BETWEEN, LIKE via a dictionary bitmap);
-/// anything else falls back to the generic evaluator.
+/// anything else runs as an ExprProgram.
 class RowFilter {
  public:
   /// Compiles `conjuncts` (bound, all referencing the same relation whose
-  /// table is `table`). The expressions must outlive the filter. Conjuncts
-  /// mixing string and numeric operands in a comparison or BETWEEN fail
-  /// with kInvalidArgument (the generic evaluator would abort on them).
-  /// `use_vm` routes conjuncts outside the typed fast paths through an
-  /// ExprProgram instead of the per-row tree walker when they compile.
-  [[nodiscard]] static Result<RowFilter> Compile(const std::vector<const Expr*>& conjuncts,
-                                   const Table& table, bool use_vm = true);
-
-  bool Matches(uint32_t row) const;
+  /// table is `table`). Conjuncts mixing string and numeric operands in a
+  /// comparison or BETWEEN fail with kInvalidArgument.
+  [[nodiscard]] static Result<RowFilter> Compile(
+      const std::vector<const Expr*>& conjuncts, const Table& table);
 
   /// All matching row ids, ascending. Evaluates batch-at-a-time through
   /// FilterRange, so typed predicates run vectorized and each predicate
@@ -101,16 +98,14 @@ class RowFilter {
       kCodeNe,
       kDictBitmap,  // bitmap[code] (LIKE and other dict predicates)
       kProgram,     // compiled ExprProgram (vectorized general case)
-      kGeneric,     // per-row tree walk (last resort)
     };
-    Kind kind;
+    Kind kind = Kind::kProgram;
     int col = -1;
     BinOp op = BinOp::kEq;
     double lo = 0, hi = 0;
     int64_t rhs_code = -1;
     std::vector<uint8_t> bitmap;
     ExprProgram prog;
-    const Expr* generic = nullptr;
   };
 
   /// Writes the rows passing predicate `p` into sel_out (ascending) and

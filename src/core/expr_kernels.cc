@@ -4,47 +4,40 @@
 
 #include "obs/stats.h"
 #include "util/logging.h"
+#include "util/total_order.h"
 
 namespace levelheaded {
 
-std::shared_ptr<const CompiledScan> CompiledScan::TryCompile(
+Result<std::shared_ptr<const CompiledScan>> CompiledScan::Compile(
     const PhysicalPlan& plan, const Catalog& catalog) {
-  if (!plan.scan_only || !plan.options.use_expr_vm) return nullptr;
-  // The -Attr.Elim arm emulates a row store by touching every column of
-  // each surviving row; the fused kernel only loads referenced columns.
-  if (!plan.options.use_attribute_elimination) return nullptr;
+  LH_CHECK(plan.scan_only) << "CompiledScan over a join plan";
   const RelationRef& ref = plan.query.relations[0];
   const Table& table = *ref.table;
+  const ColumnResolver resolve = TableResolver(table);
 
   auto scan = std::make_shared<CompiledScan>();
   // Filters get RowFilter's typed batched fast paths (numeric compare,
   // BETWEEN, code equality, LIKE bitmaps); only irregular conjuncts cost a
-  // bytecode program. The binder rejects mistyped conjuncts before
-  // planning, so a compile failure here means an unsupported shape — fall
-  // back to the interpreted loop rather than fail the query.
+  // bytecode program.
   std::vector<const Expr*> conjuncts;
   conjuncts.reserve(ref.filters.size());
   for (const ExprPtr& f : ref.filters) conjuncts.push_back(f.get());
-  auto filter = RowFilter::Compile(conjuncts, table, /*use_vm=*/true);
-  if (!filter.ok()) return nullptr;
-  scan->filter_ = filter.TakeValue();
+  LH_ASSIGN_OR_RETURN(scan->filter_, RowFilter::Compile(conjuncts, table));
   for (const GroupDimExec& dim : plan.dims) {
     const DimInfo info = ClassifyDim(dim, plan, catalog, /*join_path=*/false);
     DimSpec spec;
     spec.kind = info.kind;
     switch (info.kind) {
       case DimKind::kKeyVertex:
-        return nullptr;  // key-vertex dims never reach the scan path
+        return Status::Internal("key-vertex dimension on the scan path");
       case DimKind::kStringCode:
-        if (dim.expr->kind != Expr::Kind::kColumnRef) return nullptr;
+        // ClassifyDim only yields kStringCode for a bare column.
         spec.codes = table.column(dim.expr->bound_col).codes.data();
         break;
       case DimKind::kInt:
       case DimKind::kDate:
       case DimKind::kReal:
-        if (!ExprProgram::Compile(*dim.expr, table, &spec.prog)) {
-          return nullptr;
-        }
+        LH_RETURN_NOT_OK(ExprProgram::Compile(*dim.expr, resolve, &spec.prog));
         break;
     }
     scan->dims_.push_back(std::move(spec));
@@ -54,8 +47,8 @@ std::shared_ptr<const CompiledScan> CompiledScan::TryCompile(
     spec.func = agg.func;
     if (agg.func == AggFunc::kCount || agg.arg == nullptr) {
       spec.constant_one = true;
-    } else if (!ExprProgram::Compile(*agg.arg, table, &spec.prog)) {
-      return nullptr;
+    } else {
+      LH_RETURN_NOT_OK(ExprProgram::Compile(*agg.arg, resolve, &spec.prog));
     }
     spec.minmax = agg.func == AggFunc::kMin || agg.func == AggFunc::kMax;
     spec.is_min = agg.func == AggFunc::kMin;
@@ -89,11 +82,19 @@ std::shared_ptr<const CompiledScan> CompiledScan::TryCompile(
       }
     }
   }
-  return scan;
+  // The -Attr.Elim arm emulates a row store: each surviving row reads every
+  // column, not only the referenced ones.
+  if (!plan.options.use_attribute_elimination) {
+    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+      scan->touch_.push_back(TableColumn(table, static_cast<int>(c)));
+    }
+  }
+  return std::shared_ptr<const CompiledScan>(std::move(scan));
 }
 
-void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
-                                const std::function<bool()>& poll) const {
+uint64_t CompiledScan::ExecuteChunk(int64_t lo, int64_t hi,
+                                    GroupAccum* groups,
+                                    const std::function<bool()>& poll) const {
   constexpr int kB = ExprProgram::kBatch;
   const size_t nd = dims_.size();
   const size_t na = aggs_.size();
@@ -103,9 +104,10 @@ void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
   std::vector<uint64_t> key(nd);
   uint64_t rows_applied = 0;
   int64_t next_poll = lo;
+  uint64_t touched = 0;
   // Scalar-group acc, fetched lazily so an all-filtered chunk creates no
-  // group (matching the interpreted loop). Safe to hoist across rows:
-  // scalar mode never inserts again, so the pointer stays valid.
+  // group. Safe to hoist across rows: scalar mode never inserts again, so
+  // the pointer stays valid.
   double* sacc = nullptr;
   constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
   std::vector<uint32_t> gcache;
@@ -113,7 +115,7 @@ void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
 
   for (int64_t base = lo; base < hi; base += kB) {
     if (poll != nullptr && base >= next_poll) {
-      if (!poll()) return;
+      if (!poll()) return touched;
       next_poll = base + 1024;
     }
     const int n = static_cast<int>(std::min<int64_t>(kB, hi - base));
@@ -123,6 +125,15 @@ void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
     const int nsel = filter_.FilterRange(static_cast<uint32_t>(base), n, sel);
     if (nsel == 0) continue;
     rows_applied += static_cast<uint64_t>(nsel);
+    for (const ColumnSource& c : touch_) {
+      for (int j = 0; j < nsel; ++j) {
+        const uint32_t r = sel[j];
+        touched += c.type == ColumnSource::Type::kInt    ? c.ints[r]
+                   : c.type == ColumnSource::Type::kReal ? BitcastDouble(
+                                                               c.reals[r])
+                                                         : c.codes[r];
+      }
+    }
 
     for (size_t a = 0; a < na; ++a) {
       if (!aggs_[a].constant_one) {
@@ -135,10 +146,10 @@ void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
       }
     }
 
-    // Surviving rows accumulate in row order, group creation goes through
-    // the same FindOrCreate sequence, and the per-slot updates replicate
-    // GroupAccum::Apply op for op — bit-identical to the interpreted loop
-    // (see executor.cc ExecuteScan's chunking comment).
+    // Surviving rows accumulate in row order, groups are created in
+    // first-arrival order, and the per-slot updates replicate
+    // GroupAccum::Apply op for op (see executor.cc ScanState's chunking
+    // comment).
     for (int j = 0; j < nsel; ++j) {
       double* acc;
       if (nd == 0) {
@@ -177,7 +188,7 @@ void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
                   static_cast<int64_t>(dimv[d * kB + j]));
               break;
             case DimKind::kReal:
-              key[d] = BitcastDouble(dimv[d * kB + j]);
+              key[d] = RealKeyBits(dimv[d * kB + j]);
               break;
           }
         }
@@ -187,8 +198,8 @@ void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
         const AggSpec& agg = aggs_[a];
         const double m = agg.constant_one ? 1.0 : aggv[a * kB + j];
         if (agg.minmax) {
-          acc[2 * a] = agg.is_min ? std::min(acc[2 * a], m)
-                                  : std::max(acc[2 * a], m);
+          acc[2 * a] = agg.is_min ? TotalMin(acc[2 * a], m)
+                                  : TotalMax(acc[2 * a], m);
         } else {
           acc[2 * a] += m;
           acc[2 * a + 1] += agg.aux_inc;
@@ -199,6 +210,7 @@ void CompiledScan::ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
   if (obs::ExecStats* stats = obs::ActiveStats()) {
     stats->CountExprFusedRows(rows_applied);
   }
+  return touched;
 }
 
 }  // namespace levelheaded

@@ -1,16 +1,14 @@
-// Fused filter+aggregate kernel for the scan path (join-free queries):
-// filters run through RowFilter's typed batched predicates (numeric
-// compare/BETWEEN/code-equality fast paths, ExprProgram for the general
-// case), and every GROUP BY dimension and aggregate argument is an
+// Fused filter+aggregate kernel: the scan path (join-free queries) runs
+// only this. Filters run through RowFilter's typed batched predicates
+// (numeric compare/BETWEEN/code-equality fast paths, ExprProgram for the
+// general case), and every GROUP BY dimension and aggregate argument is an
 // ExprProgram executed batch-at-a-time over the base table's columns, so a
 // Q1/Q6-shaped query does typed column loads, a predicate bitmap, a
-// surviving-row gather, and SUM/AVG/COUNT accumulation in one pass —
-// replacing the per-row virtual-dispatch tree walk.
+// surviving-row gather, and SUM/AVG/COUNT accumulation in one pass.
 //
-// Accumulation order is identical to the interpreted scan loop (same chunk
-// boundaries, surviving rows applied in row order, per-slot semiring ops
-// via GroupAccum::Apply), so results are bit-identical to the tree-walker
-// path at any thread count.
+// Surviving rows are applied in row order with GroupAccum::Apply's per-slot
+// semiring ops, and chunk partials merge in chunk order, so results are
+// bit-identical to a row-at-a-time evaluation at any thread count.
 
 #ifndef LEVELHEADED_CORE_EXPR_KERNELS_H_
 #define LEVELHEADED_CORE_EXPR_KERNELS_H_
@@ -29,19 +27,18 @@ namespace levelheaded {
 class CompiledScan {
  public:
   /// Compiles the whole scan shape (filters, dims, aggregate args) of a
-  /// scan-only plan. Returns nullptr when the plan is not a scan, the
-  /// VM is disabled, the -Attr.Elim ablation arm is on (it must touch
-  /// every column), or any expression fails to compile — callers then run
-  /// the tree-walking loop.
-  static std::shared_ptr<const CompiledScan> TryCompile(
+  /// scan-only plan. Mistyped filters fail with kInvalidArgument; any
+  /// other failure is an engine bug (kInternal).
+  [[nodiscard]] static Result<std::shared_ptr<const CompiledScan>> Compile(
       const PhysicalPlan& plan, const Catalog& catalog);
 
   /// Processes rows [lo, hi) into `groups`. `poll`, when non-null, is
-  /// invoked every 1024 rows (the interpreter's guard cadence); returning
-  /// false stops the chunk early (cooperative abort — the caller discards
-  /// the partial).
-  void ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
-                    const std::function<bool()>& poll) const;
+  /// invoked every 1024 rows; returning false stops the chunk early
+  /// (cooperative abort — the caller discards the partial). Returns a fold
+  /// of every column of the surviving rows under the -Attr.Elim arm (its
+  /// row-store reads, which the caller must keep observable), else 0.
+  uint64_t ExecuteChunk(int64_t lo, int64_t hi, GroupAccum* groups,
+                        const std::function<bool()>& poll) const;
 
  private:
   struct DimSpec {
@@ -72,9 +69,12 @@ class CompiledScan {
   /// to a cached GroupAccum ordinal, bypassing the per-row hashed key
   /// lookup. 0 disables the cache. Group creation still goes through
   /// FindOrCreateOrdinal on first encounter, so insertion order (and
-  /// therefore output order) matches the interpreted loop exactly.
+  /// therefore output order) is first-arrival order either way.
   uint32_t dense_total_ = 0;
   std::vector<uint32_t> dense_stride_;
+  /// -Attr.Elim arm: every column, read for each surviving row (the
+  /// row-store emulation of Table III); empty otherwise.
+  std::vector<ColumnSource> touch_;
 };
 
 }  // namespace levelheaded

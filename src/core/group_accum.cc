@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "core/cancel.h"
@@ -10,6 +11,7 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
+#include "util/total_order.h"
 
 namespace levelheaded {
 
@@ -17,6 +19,11 @@ uint64_t BitcastDouble(double d) {
   uint64_t u;
   std::memcpy(&u, &d, sizeof(u));
   return u;
+}
+
+uint64_t RealKeyBits(double d) {
+  if (d != d) return BitcastDouble(std::numeric_limits<double>::quiet_NaN());
+  return BitcastDouble(d == 0 ? 0.0 : d);
 }
 
 double UnbitcastDouble(uint64_t u) {
@@ -101,10 +108,10 @@ void GroupAccum::Apply(double* acc, const double* main_delta,
   for (size_t i = 0; i < aggs_->size(); ++i) {
     switch ((*aggs_)[i].func) {
       case AggFunc::kMin:
-        acc[2 * i] = std::min(acc[2 * i], main_delta[i]);
+        acc[2 * i] = TotalMin(acc[2 * i], main_delta[i]);
         break;
       case AggFunc::kMax:
-        acc[2 * i] = std::max(acc[2 * i], main_delta[i]);
+        acc[2 * i] = TotalMax(acc[2 * i], main_delta[i]);
         break;
       default:
         acc[2 * i] += main_delta[i];
@@ -183,10 +190,10 @@ void GroupAccum::CombineInto(double* acc, const double* oa) const {
   for (size_t i = 0; i < aggs_->size(); ++i) {
     switch ((*aggs_)[i].func) {
       case AggFunc::kMin:
-        acc[2 * i] = std::min(acc[2 * i], oa[2 * i]);
+        acc[2 * i] = TotalMin(acc[2 * i], oa[2 * i]);
         break;
       case AggFunc::kMax:
-        acc[2 * i] = std::max(acc[2 * i], oa[2 * i]);
+        acc[2 * i] = TotalMax(acc[2 * i], oa[2 * i]);
         break;
       default:
         acc[2 * i] += oa[2 * i];
@@ -200,7 +207,8 @@ void GroupAccum::InitAccs(double* acc) const {
   for (size_t i = 0; i < stride_; ++i) acc[i] = 0.0;
   for (size_t i = 0; i < aggs_->size(); ++i) {
     if ((*aggs_)[i].func == AggFunc::kMin) {
-      acc[2 * i] = std::numeric_limits<double>::infinity();
+      // NaN is the top of the total order, so it is MIN's identity.
+      acc[2 * i] = std::numeric_limits<double>::quiet_NaN();
     } else if ((*aggs_)[i].func == AggFunc::kMax) {
       acc[2 * i] = -std::numeric_limits<double>::infinity();
     }
@@ -283,10 +291,11 @@ double EvalOutputExpr(const Expr& e, const PhysicalPlan& plan,
     case Expr::Kind::kBetween: {
       const double v =
           EvalOutputExpr(*e.children[0], plan, groups, dim_infos, g);
-      return v >= EvalOutputExpr(*e.children[1], plan, groups, dim_infos,
-                                 g) &&
-                     v <= EvalOutputExpr(*e.children[2], plan, groups,
-                                         dim_infos, g)
+      return TotalLessEqual(EvalOutputExpr(*e.children[1], plan, groups,
+                                           dim_infos, g),
+                            v) &&
+                     TotalLessEqual(v, EvalOutputExpr(*e.children[2], plan,
+                                                      groups, dim_infos, g))
                  ? 1
                  : 0;
     }
@@ -314,17 +323,17 @@ double EvalOutputExpr(const Expr& e, const PhysicalPlan& plan,
         case BinOp::kDiv:
           return l / r;
         case BinOp::kEq:
-          return l == r ? 1 : 0;
+          return TotalEqual(l, r) ? 1 : 0;
         case BinOp::kNe:
-          return l != r ? 1 : 0;
+          return TotalEqual(l, r) ? 0 : 1;
         case BinOp::kLt:
-          return l < r ? 1 : 0;
+          return TotalLess(l, r) ? 1 : 0;
         case BinOp::kLe:
-          return l <= r ? 1 : 0;
+          return TotalLessEqual(l, r) ? 1 : 0;
         case BinOp::kGt:
-          return l > r ? 1 : 0;
+          return TotalLess(r, l) ? 1 : 0;
         case BinOp::kGe:
-          return l >= r ? 1 : 0;
+          return TotalLessEqual(r, l) ? 1 : 0;
         case BinOp::kAnd:
           return (l != 0 && r != 0) ? 1 : 0;
         case BinOp::kOr:
@@ -629,8 +638,7 @@ void ApplyOrderAndLimit(const LogicalQuery& query, QueryResult* result) {
         if (!c.ints.empty()) {
           cmp = c.ints[a] < c.ints[b] ? -1 : (c.ints[a] > c.ints[b] ? 1 : 0);
         } else if (!c.reals.empty()) {
-          cmp = c.reals[a] < c.reals[b] ? -1
-                                        : (c.reals[a] > c.reals[b] ? 1 : 0);
+          cmp = TotalCompare(c.reals[a], c.reals[b]);
         } else if (!c.strs.empty()) {
           const int sc = c.strs[a].compare(c.strs[b]);
           cmp = sc < 0 ? -1 : (sc > 0 ? 1 : 0);

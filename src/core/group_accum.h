@@ -29,6 +29,11 @@ class TraceSpan;
 uint64_t BitcastDouble(double d);
 double UnbitcastDouble(uint64_t u);
 
+/// Group-key word of a kReal dimension value. Values equal under the total
+/// order (util/total_order.h) share one key: every NaN is one group, and
+/// -0 groups with +0.
+uint64_t RealKeyBits(double d);
+
 /// How one GROUP BY dimension is encoded into the group key (one uint64
 /// word) and decoded into the output.
 enum class DimKind : uint8_t {

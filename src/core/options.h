@@ -1,6 +1,8 @@
 // Per-query execution options. The defaults run the full LevelHeaded
 // pipeline; the toggles exist for the Table III ablations and the Figure 5
-// cost-model experiments.
+// cost-model experiments. Expression evaluation has no switch: every scan,
+// filter, aggregate argument and group dimension runs as compiled bytecode
+// (DESIGN.md §15).
 
 #ifndef LEVELHEADED_CORE_OPTIONS_H_
 #define LEVELHEADED_CORE_OPTIONS_H_
@@ -45,14 +47,6 @@ struct QueryOptions {
   /// instead of decoded strings — LevelHeaded's native form, consumed
   /// directly by the ML pipeline (§VII) without a decode/re-encode pass.
   bool keep_strings_encoded = false;
-
-  /// Route scan filters, group-by dimensions, and aggregate arguments
-  /// through the compiled expression path (typed bytecode VM + fused
-  /// filter/aggregate kernels, DESIGN.md §15). Disabling it forces the
-  /// tree-walking interpreter everywhere — the differential oracle and the
-  /// bench/expr_kernels comparison arm. Results are bit-identical either
-  /// way.
-  bool use_expr_vm = true;
 
   /// Reuse cached unfiltered tries across queries ("index creation" is
   /// excluded from measured time, §VI-A). Filtered relations always build

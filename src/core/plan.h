@@ -108,9 +108,7 @@ struct PhysicalPlan {
   std::vector<GroupDimExec> dims;
 
   /// Compiled fused filter+aggregate kernel for the scan path, built once
-  /// at plan time (core/expr_kernels.h). Null when the query is not a
-  /// scan, QueryOptions::use_expr_vm is off, or a shape fails to compile —
-  /// the executor then runs the tree-walking scan loop.
+  /// at plan time (core/expr_kernels.h). Set exactly when scan_only.
   std::shared_ptr<const CompiledScan> compiled_scan;
 
   /// Human-readable order of the root node, e.g. "orderkey,custkey,...".

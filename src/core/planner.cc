@@ -150,10 +150,9 @@ Result<PhysicalPlan> BuildPlan(LogicalQuery query, const Catalog& catalog,
   // queries").
   if (q.relations.size() == 1) {
     plan.scan_only = true;
-    // Compile the fused filter+aggregate kernel once, at plan time; a null
-    // result (unsupported shape or use_expr_vm off) keeps the executor on
-    // the tree-walking scan loop.
-    plan.compiled_scan = CompiledScan::TryCompile(plan, catalog);
+    // Compile the fused filter+aggregate kernel once, at plan time.
+    LH_ASSIGN_OR_RETURN(plan.compiled_scan,
+                        CompiledScan::Compile(plan, catalog));
     return plan;
   }
 

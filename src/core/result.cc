@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/logging.h"
+#include "util/total_order.h"
 
 namespace levelheaded {
 
@@ -56,7 +57,8 @@ void QueryResult::SortRows() {
       if (!c.ints.empty()) {
         if (c.ints[a] != c.ints[b]) return c.ints[a] < c.ints[b];
       } else if (!c.reals.empty()) {
-        if (c.reals[a] != c.reals[b]) return c.reals[a] < c.reals[b];
+        const int cmp = TotalCompare(c.reals[a], c.reals[b]);
+        if (cmp != 0) return cmp < 0;
       } else if (!c.strs.empty()) {
         if (c.strs[a] != c.strs[b]) return c.strs[a] < c.strs[b];
       } else if (!c.codes.empty()) {

@@ -13,6 +13,7 @@
 #include "obs/stats.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
+#include "util/total_order.h"
 
 namespace levelheaded {
 namespace {
@@ -422,10 +423,10 @@ std::unique_ptr<TrieLazyState::MaterializedSet> TrieLazyState::Materialize(
             acc += v;
             break;
           case AnnotationMerge::kMin:
-            acc = std::min(acc, v);
+            acc = TotalMin(acc, v);
             break;
           case AnnotationMerge::kMax:
-            acc = std::max(acc, v);
+            acc = TotalMax(acc, v);
             break;
           case AnnotationMerge::kFirst:
             break;
@@ -948,10 +949,10 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
                     acc += v;
                     break;
                   case AnnotationMerge::kMin:
-                    acc = std::min(acc, v);
+                    acc = TotalMin(acc, v);
                     break;
                   case AnnotationMerge::kMax:
-                    acc = std::max(acc, v);
+                    acc = TotalMax(acc, v);
                     break;
                   case AnnotationMerge::kFirst:
                     break;

@@ -149,10 +149,10 @@ TEST_F(RowFilterTest, ConjunctionShortCircuits) {
 }
 
 TEST_F(RowFilterTest, BinderPrecompilesLikeMatchers) {
-  // LIKE under an OR takes the generic per-row EvalBool path. The binder
-  // attaches a compiled matcher to the expression, so evaluation never
-  // recompiles the pattern per row (expr.like_compiles counts fallback
-  // compilations and must stay zero for bound queries).
+  // LIKE under an OR runs as a bytecode program. The binder attaches a
+  // compiled matcher to the expression, so neither the program's bitmap
+  // build nor the walker recompiles the pattern (expr.like_compiles counts
+  // fallback compilations and must stay zero for bound queries).
   obs::ExecStats stats;
   {
     obs::StatsScope scope(&stats);
@@ -162,10 +162,37 @@ TEST_F(RowFilterTest, BinderPrecompilesLikeMatchers) {
   EXPECT_EQ(stats.Snapshot().expr_like_compiles, 0u);
 }
 
+/// The tree walker's view of one table row.
+class WalkerRowCells : public CellAccessor {
+ public:
+  explicit WalkerRowCells(const Table& t) : t_(t) {}
+  uint32_t row = 0;
+
+  double Number(int, int col) const override {
+    const ColumnData& c = t_.column(col);
+    if (!c.ints.empty()) return static_cast<double>(c.ints[row]);
+    if (!c.reals.empty()) return c.reals[row];
+    return static_cast<double>(c.codes[row]);
+  }
+  int64_t Code(int, int col) const override {
+    return Dict(0, col) == nullptr ? -1 : t_.column(col).codes[row];
+  }
+  const Dictionary* Dict(int, int col) const override {
+    const ColumnData& c = t_.column(col);
+    return c.dict != nullptr && c.dict->type() == ValueType::kString ? c.dict
+                                                                     : nullptr;
+  }
+
+ private:
+  const Table& t_;
+};
+
 TEST_F(RowFilterTest, UncompiledLikeFallsBackOncePerRow) {
-  // Strip the binder's precompiled matcher: evaluation falls back to
-  // compiling the pattern on every row and reports each compile. This is
-  // the per-row cost the eager binder compilation removes.
+  // Strip the binder's precompiled matcher: the tree walker (the pairwise
+  // baseline's evaluator and the tests' oracle) falls back to compiling the
+  // pattern on every row and reports each compile. This is the per-row
+  // cost the eager binder compilation removes. RowFilter's bytecode builds
+  // its LIKE bitmap once at compile time, so it never recompiles.
   auto parsed = ParseSelect(
       "SELECT k FROM t WHERE num > 100 OR name LIKE '%green%'");
   ASSERT_TRUE(parsed.ok());
@@ -184,12 +211,19 @@ TEST_F(RowFilterTest, UncompiledLikeFallsBackOncePerRow) {
   obs::ExecStats stats;
   {
     obs::StatsScope scope(&stats);
-    // use_vm=false: the bytecode VM builds its LIKE bitmap once at compile
-    // time, so only the tree-walking path exhibits the per-row fallback
-    // this test pins down.
-    auto filter = RowFilter::Compile(conjuncts, *table_, /*use_vm=*/false);
+    auto filter = RowFilter::Compile(conjuncts, *table_);
     ASSERT_TRUE(filter.ok());
     EXPECT_EQ(filter.value().SelectedRows(), (std::vector<uint32_t>{0, 2}));
+  }
+  EXPECT_EQ(stats.Snapshot().expr_like_compiles, 0u);
+  {
+    obs::StatsScope scope(&stats);
+    WalkerRowCells cells(*table_);
+    std::vector<uint32_t> selected;
+    for (cells.row = 0; cells.row < table_->num_rows(); ++cells.row) {
+      if (EvalBool(*conjuncts[0], cells)) selected.push_back(cells.row);
+    }
+    EXPECT_EQ(selected, (std::vector<uint32_t>{0, 2}));
   }
   // One fallback compile per evaluated row (the OR's left arm never
   // short-circuits for this data), versus zero when bound normally.

@@ -19,6 +19,7 @@
 #include "core/result.h"
 #include "sql/logical_query.h"
 #include "util/logging.h"
+#include "util/total_order.h"
 
 namespace levelheaded::testing {
 
@@ -97,7 +98,11 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
       std::vector<Value> dim_values;
       for (const Expr* d : dims) {
         Value v = EvalValue(*d, cells);
-        key += v.ToString();
+        // Group under the total order: every NaN is one group, -0 is 0.
+        const bool real = v.kind() == Value::Kind::kReal;
+        key += real && std::isnan(v.AsReal()) ? "nan"
+               : real && v.AsReal() == 0      ? "0"
+                                              : v.ToString();
         key += '\x1f';
         dim_values.push_back(std::move(v));
       }
@@ -108,7 +113,7 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
         acc.dim_values = std::move(dim_values);
         for (size_t i = 0; i < q.aggregates.size(); ++i) {
           if (q.aggregates[i].func == AggFunc::kMin) {
-            acc.main[i] = std::numeric_limits<double>::infinity();
+            acc.main[i] = std::numeric_limits<double>::quiet_NaN();
           } else if (q.aggregates[i].func == AggFunc::kMax) {
             acc.main[i] = -std::numeric_limits<double>::infinity();
           }
@@ -128,10 +133,10 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
             acc.aux[i] += 1;
             break;
           case AggFunc::kMin:
-            acc.main[i] = std::min(acc.main[i], EvalNumber(*agg.arg, cells));
+            acc.main[i] = TotalMin(acc.main[i], EvalNumber(*agg.arg, cells));
             break;
           case AggFunc::kMax:
-            acc.main[i] = std::max(acc.main[i], EvalNumber(*agg.arg, cells));
+            acc.main[i] = TotalMax(acc.main[i], EvalNumber(*agg.arg, cells));
             break;
         }
       }

@@ -5,6 +5,7 @@
 
 #include "baseline/pairwise_engine.h"
 #include "core/engine.h"
+#include "obs/profile.h"
 #include "reference_executor.h"
 #include "workload/matrix_gen.h"
 #include "workload/tpch_gen.h"
@@ -176,6 +177,16 @@ TEST_P(TpchQueryTest, NonEmptyResults) {
   }
 }
 
+TEST_P(TpchQueryTest, CompilesEveryExpressionWithoutFallback) {
+  // Every filter, per-row aggregate argument, leaf aggregate argument and
+  // group dimension runs as a compiled program; nothing falls back.
+  auto r = engine_->QueryAnalyze(TpchQuery(GetParam()));
+  ASSERT_TRUE(r.ok()) << GetParam() << ": " << r.status().ToString();
+  const obs::StatsSnapshot& c = r.value().profile->counters;
+  EXPECT_GT(c.expr_programs, 0u) << GetParam();
+  EXPECT_EQ(c.expr_fallbacks, 0u) << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          ::testing::Values("q1", "q3", "q5", "q6", "q8",
                                            "q9", "q10",
@@ -203,6 +214,44 @@ TEST(MatrixWorkloadTest, SmvAndSmmEnginesAgree) {
     auto b = base.Query(sql);
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectResultsMatch(a.value(), b.value(), sql);
+  }
+}
+
+// Sparse LA and graph queries: leaf programs compile at node setup, with
+// no fallback. A plain triangle count has no expression to compile; the
+// weighted triangle multiplies three relations' values at the leaf.
+TEST(MatrixWorkloadTest, LeafProgramsCompileWithoutFallback) {
+  Catalog catalog;
+  SyntheticMatrix m = MakeBandedMatrix("m", 300, 2, 2, 5);
+  ASSERT_TRUE(AddMatrixTable(&catalog, "m", "idx", m).ok());
+  ASSERT_TRUE(AddVectorTable(&catalog, "x", "idx", 300, 6).ok());
+  ASSERT_TRUE(catalog.Finalize().ok());
+  Engine lh(&catalog);
+  const char* kTriangle =
+      "SELECT COUNT(*) FROM m e1, m e2, m e3 "
+      "WHERE e1.c = e2.r AND e2.c = e3.c AND e3.r = e1.r";
+  const struct {
+    const char* sql;
+    bool has_expressions;
+  } kQueries[] = {
+      {"SELECT m.r, sum(m.v * x.val) FROM m, x WHERE m.c = x.i GROUP BY m.r",
+       true},
+      {"SELECT m1.r, m2.c, sum(m1.v * m2.v) FROM m m1, m m2 "
+       "WHERE m1.c = m2.r GROUP BY m1.r, m2.c",
+       true},
+      {kTriangle, false},
+      {"SELECT SUM(e1.v * e2.v * e3.v) FROM m e1, m e2, m e3 "
+       "WHERE e1.c = e2.r AND e2.c = e3.c AND e3.r = e1.r",
+       true},
+  };
+  for (const auto& q : kQueries) {
+    auto r = lh.QueryAnalyze(q.sql);
+    ASSERT_TRUE(r.ok()) << q.sql << ": " << r.status().ToString();
+    const obs::StatsSnapshot& c = r.value().profile->counters;
+    EXPECT_EQ(c.expr_fallbacks, 0u) << q.sql;
+    if (q.has_expressions) {
+      EXPECT_GT(c.expr_programs, 0u) << q.sql;
+    }
   }
 }
 

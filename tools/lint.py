@@ -30,6 +30,12 @@ Rules (all findings are errors; the target requires zero):
                    src/util wrappers. Sockets are owned by util/socket.h's
                    RAII types; a bare fd is a leak (and a stray close() a
                    double-close) on the first early return.
+  walker-confined  The tree-walking evaluator (EvalNumber / EvalBool /
+                   EvalValue and the CellAccessor interface) is confined to
+                   src/core/expr_eval.{h,cc}, src/baseline/, and tests/.
+                   The engine evaluates rows only through the compiled
+                   ExprProgram VM; the walker serves the pairwise baseline
+                   and is the tests' oracle (DESIGN.md §15).
   vm-op-coverage   Every enumerator of the expression VM's `Op` enum
                    (src/core/expr_vm.h) must have a `case Op::k...` in
                    src/core/expr_vm.cc's dispatch switches. The VM decodes
@@ -98,6 +104,15 @@ SPAN_TAXONOMY = {
 # Rules that apply only under these directories.
 SPAN_RULE_DIRS = ("src", "bench")
 GLOBAL_STATE_DIRS = ("src",)
+
+# --- walker-confined ---------------------------------------------------
+WALKER_RE = re.compile(r"\b(?:EvalNumber|EvalBool|EvalValue|CellAccessor)\b")
+WALKER_HOMES = (
+    os.path.join("src", "core", "expr_eval.h"),
+    os.path.join("src", "core", "expr_eval.cc"),
+)
+WALKER_HOME_DIRS = (os.path.join("src", "baseline") + os.sep,
+                    "tests" + os.sep)
 
 # The only files allowed to touch the POSIX socket API directly.
 RAW_SOCKET_EXEMPT_PREFIX = os.path.join("src", "util") + os.sep
@@ -288,6 +303,26 @@ def iter_files(paths):
                     yield os.path.join(dirpath, name)
 
 
+def is_walker_confined(path):
+    """True when `path` may not use the tree-walking evaluator."""
+    norm = os.path.normpath(path)
+    return norm not in WALKER_HOMES and not norm.startswith(WALKER_HOME_DIRS)
+
+
+def lint_walker_confined_lines(path, lines, findings):
+    """Line-level core of the walker-confined rule (selftest-able)."""
+    if not is_walker_confined(path):
+        return
+    for lineno, raw in enumerate(lines, start=1):
+        if (WALKER_RE.search(strip_comments_and_strings(raw))
+                and not allowed(raw, "walker-confined")):
+            findings.append(
+                (path, lineno, "walker-confined",
+                 "tree-walking evaluator outside its homes "
+                 "(core/expr_eval, baseline/, tests/); compile the "
+                 "expression to an ExprProgram instead"))
+
+
 def allowed(line, rule):
     m = ALLOW_RE.search(line)
     return m is not None and m.group("rule") == rule
@@ -353,6 +388,7 @@ def lint_file(path, findings):
                          f'span name "{name}" not in the phase taxonomy '
                          f"(tools/lint.py SPAN_TAXONOMY)"))
 
+    lint_walker_confined_lines(path, raw_lines, findings)
     if in_global_state_dirs:  # the src/-scoped concurrency-discipline rules
         lint_mutex_annotations(path, raw_lines, findings)
         lint_relaxed_atomics(path, raw_lines, findings)
@@ -548,6 +584,25 @@ SELFTEST_CASES = [
     ("vm-op-coverage", False,  # enumerators outside the Op enum are ignored
      (["enum class Color { kRed };"],
       ["int x;"])),
+    # walker-confined cases carry (path, source_lines).
+    ("walker-confined", True,  # the engine calling the walker
+     (os.path.join("src", "core", "executor.cc"),
+      ["out[r] = EvalNumber(arg, cells);"])),
+    ("walker-confined", True,  # a new CellAccessor outside the homes
+     (os.path.join("bench", "x.cc"),
+      ["class RowCells : public CellAccessor {"])),
+    ("walker-confined", False,  # the homes: the walker itself ...
+     (os.path.join("src", "core", "expr_eval.cc"),
+      ["return EvalBool(e, cells) ? 1.0 : 0.0;"])),
+    ("walker-confined", False,  # ... the pairwise baseline ...
+     (os.path.join("src", "baseline", "pairwise_engine.cc"),
+      ["w->main[i] = EvalNumber(*agg.arg, cells);"])),
+    ("walker-confined", False,  # ... and the tests' oracle
+     (os.path.join("tests", "expr_vm_test.cc"),
+      ["const double want = EvalNumber(e, cells);"])),
+    ("walker-confined", False,  # a mention in a comment is not a call
+     (os.path.join("src", "core", "expr_vm.h"),
+      ["// bit-identical to EvalNumber/EvalBool (the test oracle)."])),
     # metrics-glossary cases carry (Items() source lines, glossary doc text).
     ("metrics-glossary", True,  # counter absent from the doc
      (["std::vector<StatsItem> StatsSnapshot::Items() const {",
@@ -585,6 +640,9 @@ def run_selftest():
             lint_vm_op_coverage_lines(fake_path, header_lines,
                                       fake_path.replace(".cc", ".h"),
                                       source_lines, findings)
+        elif rule == "walker-confined":
+            path, source_lines = lines
+            lint_walker_confined_lines(path, source_lines, findings)
         elif rule == "metrics-glossary":
             source_lines, doc = lines
             lint_metrics_glossary_lines(fake_path, source_lines, doc,
@@ -610,8 +668,9 @@ def run_selftest():
 def main(argv):
     if "--list-rules" in argv:
         print("naked-new banned-rand span-taxonomy include-cycle "
-              "global-state raw-socket vm-op-coverage metrics-glossary "
-              "mutex-annotations relaxed-atomics signal-safety")
+              "global-state raw-socket walker-confined vm-op-coverage "
+              "metrics-glossary mutex-annotations relaxed-atomics "
+              "signal-safety")
         return 0
     if "--selftest" in argv:
         return run_selftest()
