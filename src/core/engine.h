@@ -20,7 +20,6 @@
 #include "core/executor.h"
 #include "core/options.h"
 #include "core/plan.h"
-#include "core/query_backend.h"
 #include "core/result.h"
 #include "obs/slow_query_log.h"
 #include "obs/stats.h"
@@ -29,16 +28,24 @@
 
 namespace levelheaded {
 
-namespace shard {
-class ShardedEngine;
-}  // namespace shard
-
-/// EXPLAIN [ANALYZE] prefix detection on the token stream (so casing and
-/// whitespace are free). Returns 0 (no prefix), 1 (EXPLAIN), or 2
-/// (EXPLAIN ANALYZE), with `rest` set to the statement after the prefix.
-/// Shared with the sharded router so it routes prefixed statements the
-/// same way the engine does.
-int StripExplainPrefix(const std::string& sql, std::string* rest);
+/// Plan diagnostics for tooling and the Figure 5 experiments.
+struct ExplainInfo {
+  bool scan_only = false;
+  DenseKernel dense = DenseKernel::kNone;
+  size_t num_ghd_nodes = 0;
+  double fhw = 0;
+  std::string root_order;
+  double root_cost = 0;
+  bool union_relaxed = false;
+  /// Every valid root attribute order with its cost, best first. Each entry
+  /// is (comma-joined vertex names, cost, relaxed?).
+  struct Candidate {
+    std::string order;
+    double cost = 0;
+    bool union_relaxed = false;
+  };
+  std::vector<Candidate> root_candidates;
+};
 
 /// Engine-lifetime configuration (per-query knobs live in QueryOptions).
 struct EngineOptions {
@@ -70,7 +77,7 @@ struct EngineOptions {
 /// counters are collected per query through a thread-local hook the thread
 /// pool propagates to its workers, so overlapping queries never cross-
 /// attribute counters (DESIGN.md §11).
-class Engine : public QueryBackend {
+class Engine {
  public:
   /// `catalog` must be finalized and outlive the engine.
   explicit Engine(Catalog* catalog, const EngineOptions& options = {})
@@ -87,39 +94,33 @@ class Engine : public QueryBackend {
   /// profile (span tree + counters) instead of the query's rows.
   [[nodiscard]] Result<QueryResult> Query(
       const std::string& sql,
-      const QueryOptions& options = QueryOptions()) override;
+      const QueryOptions& options = QueryOptions());
 
   /// Runs one SELECT with stats collection forced on: the normal result
   /// rows plus the execution profile in QueryResult::profile.
   [[nodiscard]] Result<QueryResult> QueryAnalyze(
       const std::string& sql,
-      const QueryOptions& options = QueryOptions()) override;
+      const QueryOptions& options = QueryOptions());
 
   /// Plans without executing.
   [[nodiscard]] Result<ExplainInfo> Explain(
       const std::string& sql,
-      const QueryOptions& options = QueryOptions()) override;
+      const QueryOptions& options = QueryOptions());
 
   /// The unfiltered-trie cache ("index creation"); exposed so benchmarks
   /// can warm or clear it explicitly.
-  TrieCache* trie_cache() override { return &trie_cache_; }
+  TrieCache* trie_cache() { return &trie_cache_; }
 
   /// Engine-lifetime execution counters: the sum of every profiled query's
   /// counter snapshot (plain queries without collect_stats contribute
   /// nothing), with cache_bytes sampled live from the trie cache. Feeds
   /// the exec.*/pool.* families on the metrics surfaces.
-  [[nodiscard]] obs::StatsSnapshot LifetimeStats() const override;
+  [[nodiscard]] obs::StatsSnapshot LifetimeStats() const;
 
   /// The slow-query log (disabled unless EngineOptions::slow_query_ms > 0).
-  obs::SlowQueryLog* slow_query_log() override { return &slow_query_log_; }
+  obs::SlowQueryLog* slow_query_log() { return &slow_query_log_; }
 
  private:
-  /// The sharded router (src/shard) reuses the engine's Prepare/guard
-  /// machinery and folds its scattered queries into the same slow-query
-  /// log and lifetime stats, so sharded serving reports through one set
-  /// of engine-owned surfaces.
-  friend class shard::ShardedEngine;
-
   [[nodiscard]] Result<QueryResult> RunQuery(const std::string& sql,
                                const QueryOptions& options);
   [[nodiscard]] Result<QueryResult> RunQueryImpl(const std::string& sql,

@@ -440,13 +440,11 @@ class NodeExec {
   // ---- Phase-split aggregate run (the full run = PrepareChunks, then
   // RunChunk for every chunk in any order / from any thread, then
   // AbsorbWorkers and Partials). ExecuteJoin drives the chunks through the
-  // global pool; the sharded router (ChunkedPlanExec) drives the same
-  // chunks from its lane pools. Grain and skew threshold are functions of
-  // cardinalities only — chunk and sub-task boundaries are merge boundaries
-  // for floating-point partials, so they must not move with the thread
-  // count or the scatter topology (results stay bit-identical under any
-  // LH_THREADS and any shard count). Scheduling only changes which worker
-  // executes a given chunk or task.
+  // global pool. Grain and skew threshold are functions of cardinalities
+  // only — chunk and sub-task boundaries are merge boundaries for
+  // floating-point partials, so they must not move with the thread count
+  // (results stay bit-identical under any LH_THREADS). Scheduling only
+  // changes which worker executes a given chunk or task.
 
   /// Compiles the leaf programs, then computes the root set and the chunk
   /// layout on the calling thread. After this, num_chunks() chunks
@@ -474,7 +472,6 @@ class NodeExec {
     num_chunks_ = (n + grain_ - 1) / grain_;
     skew_threshold_ = SplittableShape(k) ? SkewThreshold() : 0;
     chunk_out_.resize(num_chunks_);
-    chunk_pool_.resize(num_chunks_);
     return Status::OK();
   }
 
@@ -483,12 +480,11 @@ class NodeExec {
   /// Executes chunk `chunk` of the root iteration. Thread-safe for distinct
   /// chunks: every result byte goes into the chunk's own accumulator; the
   /// scratch Worker comes from a freelist (reuse is determinism-neutral).
-  /// Heavy root values fan their level-1 iteration out as tasks on `pool`.
-  void RunChunk(int64_t chunk, ThreadPool& pool) {
+  /// Heavy root values fan their level-1 iteration out as pool tasks.
+  void RunChunk(int64_t chunk) {
     std::unique_ptr<Worker> holder = AcquireWorker();
     Worker& w = *holder;
     chunk_out_[chunk] = std::make_unique<GroupAccum>(key_width_, &plan_.aggs);
-    chunk_pool_[chunk] = &pool;
     w.groups = chunk_out_[chunk].get();
     const int64_t lo = chunk * grain_;
     const int64_t hi = std::min<int64_t>(
@@ -508,8 +504,7 @@ class NodeExec {
         Leaf(&w);
         continue;
       }
-      if (skew_threshold_ > 0 &&
-          TrySplitHeavyRoot(&w, key_width_, k, pool)) {
+      if (skew_threshold_ > 0 && TrySplitHeavyRoot(&w, key_width_, k)) {
         continue;
       }
       Recurse(&w, 1);
@@ -527,18 +522,18 @@ class NodeExec {
     free_workers_.clear();
   }
 
-  /// The chunk partials in chunk order, each with the pool its chunk ran
-  /// on, for MaterializeGroups. Append-mode partials arrive in global key
-  /// order and are handed over as they are (MaterializeGroups applies the
-  /// boundary rule); hash-mode partials overlap in keys, so they are first
-  /// merged into one table in chunk order (the FP merge contract). The
-  /// partials stay owned here. Call once, after every RunChunk returned.
-  std::vector<GroupPartial> Partials() {
-    std::vector<GroupPartial> out;
+  /// The chunk partials in chunk order, for MaterializeGroups. Append-mode
+  /// partials arrive in global key order and are handed over as they are
+  /// (MaterializeGroups applies the boundary rule); hash-mode partials
+  /// overlap in keys, so they are first merged into one table in chunk
+  /// order (the FP merge contract). The partials stay owned here. Call
+  /// once, after every RunChunk returned.
+  std::vector<GroupAccum*> Partials() {
+    std::vector<GroupAccum*> out;
     if (append_mode_) {
       for (int64_t c = 0; c < num_chunks_; ++c) {
         if (chunk_out_[c] != nullptr) {
-          out.push_back({chunk_out_[c].get(), chunk_pool_[c]});
+          out.push_back(chunk_out_[c].get());
         }
       }
       return out;
@@ -548,7 +543,7 @@ class NodeExec {
       if (partial != nullptr) merged_->MergeFrom(*partial);
     }
     chunk_out_.clear();
-    out.push_back({merged_.get(), nullptr});
+    out.push_back(merged_.get());
     return out;
   }
 
@@ -836,8 +831,7 @@ class NodeExec {
   /// out as tasks. Returns false (nothing done) when the value is light.
   /// Probing is staged so light values — the overwhelming majority — pay
   /// one cardinality comparison and at most one count-only intersection.
-  bool TrySplitHeavyRoot(Worker* w, size_t key_width, int k,
-                         ThreadPool& pool) {
+  bool TrySplitHeavyRoot(Worker* w, size_t key_width, int k) {
     const auto& parts = probe_[1];
     // Stage 1: smallest participant-set cardinality bounds |level-1 set|.
     w->gather.clear();
@@ -876,6 +870,7 @@ class NodeExec {
 
     std::vector<std::unique_ptr<Worker>> subs(num_sub);
     std::vector<std::unique_ptr<GroupAccum>> sub_out(num_sub);
+    ThreadPool& pool = ThreadPool::Global();
     ThreadPool::TaskGroup group(&pool);
     for (int64_t t = 0; t < num_sub; ++t) {
       subs[t] = std::make_unique<Worker>();
@@ -1634,8 +1629,8 @@ class NodeExec {
 
   // Chunk-run state (PrepareChunks / RunChunk / AbsorbWorkers / Partials).
   // root_values_, grain_, and chunk layout are written once in
-  // PrepareChunks and read-only during chunk runs; chunk_out_ and
-  // chunk_pool_ elements are written by exactly one RunChunk each.
+  // PrepareChunks and read-only during chunk runs; chunk_out_ elements are
+  // written by exactly one RunChunk each.
   size_t key_width_ = 0;
   std::unique_ptr<Worker> seed_;
   std::vector<uint32_t> root_values_;
@@ -1643,7 +1638,6 @@ class NodeExec {
   int64_t grain_ = 1;
   int64_t num_chunks_ = 0;
   std::vector<std::unique_ptr<GroupAccum>> chunk_out_;
-  std::vector<ThreadPool*> chunk_pool_;
   std::unique_ptr<GroupAccum> merged_;  // hash mode: the chunk-order merge
   Mutex scratch_mu_{LockRank::kExecScratch};
   std::vector<std::unique_ptr<Worker>> free_workers_
@@ -1663,14 +1657,11 @@ class NodeExec {
 /// Phase-split scan execution: Init runs the fallible setup, RunChunk
 /// consumes one adaptive-grain row range (thread-safe for distinct chunks),
 /// and Gather folds the per-chunk partials in chunk order and materializes.
-/// ExecuteScan drives the chunks through the global pool; the sharded
-/// router (ChunkedPlanExec) drives the same chunks from its lane pools —
-/// identical boundaries and fold order keep results bit-identical either
-/// way. Per-chunk partials merged in chunk order (not per-slot): which
-/// thread runs a chunk is scheduling noise, so per-slot accumulators would
-/// merge floating-point sums in a different order every run. Chunk
-/// boundaries come from cardinality alone, making results thread-count and
-/// shard-count independent.
+/// ExecuteScan drives the chunks through the global pool. Per-chunk
+/// partials merged in chunk order (not per-slot): which thread runs a
+/// chunk is scheduling noise, so per-slot accumulators would merge
+/// floating-point sums in a different order every run. Chunk boundaries
+/// come from cardinality alone, making results thread-count independent.
 struct ScanState {
   ScanState(const PhysicalPlan& p, const Catalog& c, QueryResult::Timing* tm,
             obs::QueryObs* qo, const QueryGuard* g)
@@ -1746,8 +1737,7 @@ struct ScanState {
     }
     timing->exec_ms += t.ElapsedMillis();
     LH_ASSIGN_OR_RETURN(QueryResult result,
-                        MaterializeGroups(plan, {GroupPartial{&total}},
-                                          dim_infos, guard));
+                        MaterializeGroups(plan, {&total}, dim_infos, guard));
     if (qobs != nullptr) {
       qobs->stats.CountTuplesEmitted(result.num_rows);
       qobs->node_tuples.assign(1, result.num_rows);
@@ -1975,9 +1965,7 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
 /// the calling thread; RunChunk executes one root chunk (thread-safe for
 /// distinct chunks); Gather hands the partials, in chunk order, to
 /// MaterializeGroups. ExecuteJoin drives the chunks through the global
-/// pool; the sharded router (ChunkedPlanExec) drives the same chunks from
-/// its lane pools — identical boundaries and merge order keep results
-/// bit-identical either way.
+/// pool.
 struct JoinState {
   JoinState(const PhysicalPlan& p, const Catalog& c, TrieCache* tc,
             QueryResult::Timing* tm, obs::QueryObs* qo, const QueryGuard* g)
@@ -2102,10 +2090,6 @@ struct JoinState {
     return root->PrepareChunks();
   }
 
-  void RunChunk(int64_t chunk, ThreadPool& pool) {
-    root->RunChunk(chunk, pool);
-  }
-
   /// The parallel region is over when this runs: the wcoj span ends
   /// first, and everything after it — the hash-mode merge and the
   /// (possibly pooled) decode — is the materialize span.
@@ -2161,14 +2145,11 @@ Result<QueryResult> ExecuteJoin(const PhysicalPlan& plan,
                                 const QueryGuard* guard) {
   JoinState state(plan, catalog, cache, timing, qobs, guard);
   LH_RETURN_NOT_OK(state.Prepare());
-  ThreadPool& pool = ThreadPool::Global();
-  pool.ParallelChunks(0, state.root->num_chunks(), 1,
-                      [&](int slot, int64_t lo, int64_t hi) {
-                        (void)slot;
-                        for (int64_t c = lo; c < hi; ++c) {
-                          state.RunChunk(c, pool);
-                        }
-                      });
+  ThreadPool::Global().ParallelChunks(
+      0, state.root->num_chunks(), 1, [&](int slot, int64_t lo, int64_t hi) {
+        (void)slot;
+        for (int64_t c = lo; c < hi; ++c) state.root->RunChunk(c);
+      });
   return state.Gather();
 }
 
@@ -2210,76 +2191,6 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
     ApplyOrderAndLimit(plan.query, &result.value());
     timing->exec_ms += t.ElapsedMillis();
     result.value().timing = *timing;
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// ChunkedPlanExec: the scatter-gather surface over the phase-split states.
-// ---------------------------------------------------------------------------
-
-struct ChunkedPlanExec::Impl {
-  Impl(const PhysicalPlan& p, QueryResult::Timing* tm)
-      : plan(p), timing(tm) {}
-  const PhysicalPlan& plan;
-  QueryResult::Timing* timing;
-  std::unique_ptr<ScanState> scan;
-  std::unique_ptr<JoinState> join;
-  int64_t num_chunks = 0;
-};
-
-bool ChunkedPlanExec::Chunkable(const PhysicalPlan& plan) {
-  return !plan.query.always_empty && plan.dense == DenseKernel::kNone;
-}
-
-ChunkedPlanExec::ChunkedPlanExec() = default;
-ChunkedPlanExec::~ChunkedPlanExec() = default;
-
-Result<std::unique_ptr<ChunkedPlanExec>> ChunkedPlanExec::Prepare(
-    const PhysicalPlan& plan, const Catalog& catalog, TrieCache* cache,
-    QueryResult::Timing* timing, obs::QueryObs* qobs,
-    const QueryGuard* guard) {
-  LH_CHECK(Chunkable(plan)) << "non-chunkable plan routed to ChunkedPlanExec";
-  if (!plan.options.use_trie_cache) cache = nullptr;
-  // Private ctor keeps construction behind Prepare.
-  std::unique_ptr<ChunkedPlanExec> exec(
-      new ChunkedPlanExec());  // lint: allow(naked-new)
-  exec->impl_ = std::make_unique<Impl>(plan, timing);
-  if (plan.scan_only) {
-    exec->impl_->scan =
-        std::make_unique<ScanState>(plan, catalog, timing, qobs, guard);
-    LH_RETURN_NOT_OK(exec->impl_->scan->Init());
-    exec->impl_->num_chunks = exec->impl_->scan->num_chunks;
-  } else {
-    exec->impl_->join = std::make_unique<JoinState>(plan, catalog, cache,
-                                                    timing, qobs, guard);
-    LH_RETURN_NOT_OK(exec->impl_->join->Prepare());
-    exec->impl_->num_chunks = exec->impl_->join->root->num_chunks();
-  }
-  return exec;
-}
-
-int64_t ChunkedPlanExec::num_chunks() const { return impl_->num_chunks; }
-
-void ChunkedPlanExec::RunChunk(int64_t chunk, ThreadPool& pool) {
-  if (impl_->scan != nullptr) {
-    impl_->scan->RunChunk(chunk);
-  } else {
-    impl_->join->RunChunk(chunk, pool);
-  }
-}
-
-Result<QueryResult> ChunkedPlanExec::Gather() {
-  Result<QueryResult> result = impl_->scan != nullptr
-                                   ? impl_->scan->Gather()
-                                   : impl_->join->Gather();
-  if (result.ok()) {
-    // The same tail ExecutePlan applies: ORDER BY / LIMIT (the row bound
-    // was checked inside Gather, before the output was allocated).
-    WallTimer t;
-    ApplyOrderAndLimit(impl_->plan.query, &result.value());
-    impl_->timing->exec_ms += t.ElapsedMillis();
-    result.value().timing = *impl_->timing;
   }
   return result;
 }

@@ -512,49 +512,29 @@ bool DecodeInParallel(size_t rows, size_t num_partials) {
   return rows >= kParallelDecodeRows && num_partials > 1;
 }
 
-/// Runs fn(i) for every i < pools.size(): one task each on pools[i] when
-/// `parallel` (the caller helps while it waits, so this never takes a
-/// pool's ParallelChunks phase lock; a null pool runs its task inline),
-/// else in order on the calling thread. Tasks must touch disjoint data.
-void ForEachTask(const std::vector<ThreadPool*>& pools, bool parallel,
+/// Runs fn(i) for every i < n: one task each on the global pool when
+/// `parallel` (the caller helps while it waits), else in order on the
+/// calling thread. Tasks must touch disjoint data.
+void ForEachTask(size_t n, bool parallel,
                  const std::function<void(size_t)>& fn) {
   if (!parallel) {
-    for (size_t i = 0; i < pools.size(); ++i) fn(i);
+    for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // One TaskGroup per distinct pool: a sharded run spreads its chunks, and
-  // hence their partials, over several lane pools.
-  std::vector<std::pair<ThreadPool*, std::unique_ptr<ThreadPool::TaskGroup>>>
-      groups;
-  for (size_t i = 0; i < pools.size(); ++i) {
-    ThreadPool* pool = pools[i];
-    if (pool == nullptr) {
-      fn(i);
-      continue;
-    }
-    ThreadPool::TaskGroup* group = nullptr;
-    for (const auto& [gp, g] : groups) {
-      if (gp == pool) group = g.get();
-    }
-    if (group == nullptr) {
-      groups.emplace_back(pool, std::make_unique<ThreadPool::TaskGroup>(pool));
-      group = groups.back().second.get();
-    }
-    pool->Submit(group, [&fn, i] { fn(i); });
-  }
-  for (const auto& [gp, g] : groups) g->Wait();
+  ThreadPool& pool = ThreadPool::Global();
+  ThreadPool::TaskGroup group(&pool);
+  for (size_t i = 0; i < n; ++i) pool.Submit(&group, [&fn, i] { fn(i); });
+  group.Wait();
 }
 
 }  // namespace
 
 Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
-                                      const std::vector<GroupPartial>& partials,
+                                      const std::vector<GroupAccum*>& partials,
                                       const std::vector<DimInfo>& dim_infos,
                                       const QueryGuard* guard,
                                       obs::TraceSpan* span) {
   const size_t np = partials.size();
-  std::vector<ThreadPool*> pools(np);
-  for (size_t p = 0; p < np; ++p) pools[p] = partials[p].pool;
   std::vector<PartialRows> rows(np);
   // Boundary merge, one serial pass in partial order: a leading group equal
   // to the previous non-empty partial's last group folds into that group's
@@ -563,7 +543,7 @@ Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
   size_t owner_g = 0;
   size_t candidates = 0;
   for (size_t p = 0; p < np; ++p) {
-    GroupAccum& t = *partials[p].groups;
+    GroupAccum& t = *partials[p];
     const size_t n = t.num_groups();
     if (n == 0) continue;
     if (owner != nullptr && owner->CombineBoundary(owner_g, t)) {
@@ -578,8 +558,8 @@ Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
   // HAVING survivors per partial, prefix-summed into row offsets.
   const Expr* having = plan.query.having.get();
   if (having != nullptr) {
-    ForEachTask(pools, DecodeInParallel(candidates, np), [&](size_t p) {
-      const GroupAccum& t = *partials[p].groups;
+    ForEachTask(np, DecodeInParallel(candidates, np), [&](size_t p) {
+      const GroupAccum& t = *partials[p];
       for (size_t g = rows[p].first; g < t.num_groups(); ++g) {
         if (EvalHaving(*having, plan, t, dim_infos, g)) {
           rows[p].keep.push_back(static_cast<uint32_t>(g));
@@ -592,7 +572,7 @@ Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
     rows[p].offset = total;
     total += having != nullptr
                  ? rows[p].keep.size()
-                 : partials[p].groups->num_groups() - rows[p].first;
+                 : partials[p]->num_groups() - rows[p].first;
   }
 
   // The row bound, before a single output byte is allocated.
@@ -611,13 +591,11 @@ Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
   // much as the decode, so a parallel materialize sizes its columns as
   // tasks too.
   const bool parallel = DecodeInParallel(total, np);
-  const std::vector<ThreadPool*> column_pools(outs.size(),
-                                              parallel ? pools[0] : nullptr);
-  ForEachTask(column_pools, parallel, [&](size_t c) {
+  ForEachTask(outs.size(), parallel, [&](size_t c) {
     SizeColumn(outs[c].source, total, &result.columns[c]);
   });
-  ForEachTask(pools, parallel, [&](size_t p) {
-    DecodePartial(plan, dim_infos, outs, *partials[p].groups, rows[p],
+  ForEachTask(np, parallel, [&](size_t p) {
+    DecodePartial(plan, dim_infos, outs, *partials[p], rows[p],
                   &result);
   });
   if (span != nullptr) {

@@ -19,7 +19,6 @@
 
 namespace levelheaded {
 
-class ThreadPool;
 struct QueryGuard;
 
 namespace obs {
@@ -145,13 +144,6 @@ bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
 /// thread. A function of the row count alone, never of the thread count.
 inline constexpr size_t kParallelDecodeRows = size_t{1} << 16;
 
-/// One partial group table and the pool its decode task runs on (nullptr:
-/// the calling thread).
-struct GroupPartial {
-  GroupAccum* groups = nullptr;
-  ThreadPool* pool = nullptr;
-};
-
 /// Decodes group tables into the query's output columns, applying the
 /// query's HAVING filter when present. `partials` is one table, or
 /// append-mode chunk partials in global key order: a partial whose first
@@ -164,7 +156,7 @@ struct GroupPartial {
 /// column is allocated. `span` (nullable) receives the `chunks` and
 /// `parallel` metrics.
 [[nodiscard]] Result<QueryResult> MaterializeGroups(
-    const PhysicalPlan& plan, const std::vector<GroupPartial>& partials,
+    const PhysicalPlan& plan, const std::vector<GroupAccum*>& partials,
     const std::vector<DimInfo>& dim_infos, const QueryGuard* guard = nullptr,
     obs::TraceSpan* span = nullptr);
 

@@ -49,10 +49,6 @@ StatsSnapshot ExecStats::Snapshot() const {
   s.pool_tasks_spawned = pool_tasks_spawned_.load(kRelaxed);
   s.pool_task_steals = pool_task_steals_.load(kRelaxed);
   s.exec_skew_splits = exec_skew_splits_.load(kRelaxed);
-  s.shard_scatters = shard_scatters_.load(kRelaxed);
-  s.shard_fallbacks = shard_fallbacks_.load(kRelaxed);
-  s.shard_chunks = shard_chunks_.load(kRelaxed);
-  s.shard_lanes = shard_lanes_.load(kRelaxed);
   return s;
 }
 
@@ -81,10 +77,6 @@ void ExecStats::Reset() {
   pool_tasks_spawned_.store(0, kRelaxed);
   pool_task_steals_.store(0, kRelaxed);
   exec_skew_splits_.store(0, kRelaxed);
-  shard_scatters_.store(0, kRelaxed);
-  shard_fallbacks_.store(0, kRelaxed);
-  shard_chunks_.store(0, kRelaxed);
-  shard_lanes_.store(0, kRelaxed);
 }
 
 void ExecStats::Add(const StatsSnapshot& s) {
@@ -125,11 +117,6 @@ void ExecStats::Add(const StatsSnapshot& s) {
   pool_task_steals_.fetch_add(s.pool_task_steals,
                               kRelaxed);
   exec_skew_splits_.fetch_add(s.exec_skew_splits, kRelaxed);
-  shard_scatters_.fetch_add(s.shard_scatters, kRelaxed);
-  shard_fallbacks_.fetch_add(s.shard_fallbacks, kRelaxed);
-  shard_chunks_.fetch_add(s.shard_chunks, kRelaxed);
-  // Like cache_bytes: a gauge, so take the incoming sample.
-  shard_lanes_.store(s.shard_lanes, kRelaxed);
 }
 
 std::vector<std::pair<std::string, uint64_t>> StatsSnapshot::Items() const {
@@ -160,10 +147,6 @@ std::vector<std::pair<std::string, uint64_t>> StatsSnapshot::Items() const {
       {"pool.chunks", thread_pool_chunks},
       {"pool.tasks_spawned", pool_tasks_spawned},
       {"pool.task_steals", pool_task_steals},
-      {"shard.scatters", shard_scatters},
-      {"shard.fallbacks", shard_fallbacks},
-      {"shard.chunks", shard_chunks},
-      {"shard.lanes", shard_lanes},
   };
 }
 

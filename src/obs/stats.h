@@ -84,23 +84,14 @@ struct StatsSnapshot {
   /// Rows accumulated through the fused filter+aggregate scan kernel.
   uint64_t expr_fused_rows = 0;
   uint64_t thread_pool_chunks = 0;
-  /// Tasks enqueued through ThreadPool::Submit (skew splits, trie build).
+  /// Tasks enqueued through ThreadPool::Submit (skew splits, parallel
+  /// decode); ParallelChunks region runners are not counted.
   uint64_t pool_tasks_spawned = 0;
   /// Tasks that ran on a different thread slot than the one that submitted
   /// them — how much fan-out work other threads actually absorbed.
   uint64_t pool_task_steals = 0;
   /// Heavy root values whose level-1 iteration was split across tasks.
   uint64_t exec_skew_splits = 0;
-  /// Queries the sharded router scattered across engine lanes (src/shard).
-  uint64_t shard_scatters = 0;
-  /// Queries the router routed whole through the base engine instead
-  /// (dense BLAS plans, always-empty plans — not chunkable).
-  uint64_t shard_fallbacks = 0;
-  /// Plan chunks dispatched to shard lanes by scattered queries.
-  uint64_t shard_chunks = 0;
-  /// Lanes the last scattered query fanned out over (gauge, not a
-  /// counter).
-  uint64_t shard_lanes = 0;
 
   uint64_t TotalIntersections() const {
     return intersect_uint_uint + intersect_uint_bitset +
@@ -193,12 +184,6 @@ class ExecStats {
   void CountSkewSplit(uint64_t n = 1) {
     exec_skew_splits_.fetch_add(n, kRelaxed);
   }
-  void CountShardScatter() { shard_scatters_.fetch_add(1, kRelaxed); }
-  void CountShardFallback() { shard_fallbacks_.fetch_add(1, kRelaxed); }
-  void CountShardChunks(uint64_t n) {
-    shard_chunks_.fetch_add(n, kRelaxed);
-  }
-  void SetShardLanes(uint64_t n) { shard_lanes_.store(n, kRelaxed); }
 
   StatsSnapshot Snapshot() const;
   void Reset();
@@ -234,10 +219,6 @@ class ExecStats {
   std::atomic<uint64_t> pool_tasks_spawned_{0};
   std::atomic<uint64_t> pool_task_steals_{0};
   std::atomic<uint64_t> exec_skew_splits_{0};
-  std::atomic<uint64_t> shard_scatters_{0};
-  std::atomic<uint64_t> shard_fallbacks_{0};
-  std::atomic<uint64_t> shard_chunks_{0};
-  std::atomic<uint64_t> shard_lanes_{0};
 };
 
 /// The counter block the *calling thread* is collecting into, or null when

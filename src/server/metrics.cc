@@ -28,18 +28,18 @@ std::vector<std::pair<std::string, double>> CacheExport(TrieCache* cache) {
 bool IsGaugeCounter(const std::string& dotted) {
   // The gauges among the StatsSnapshot items; everything else is a
   // monotone total.
-  return dotted == "engine.cache.bytes" || dotted == "engine.shard.lanes";
+  return dotted == "engine.cache.bytes";
 }
 
 }  // namespace
 
 std::vector<std::pair<std::string, double>> CollectStatsExport(
-    const obs::ServerStats& stats, QueryBackend* backend) {
+    const obs::ServerStats& stats, Engine* engine) {
   std::vector<std::pair<std::string, double>> out = stats.Export();
-  for (auto& kv : CacheExport(backend->trie_cache())) {
+  for (auto& kv : CacheExport(engine->trie_cache())) {
     out.push_back(std::move(kv));
   }
-  const obs::StatsSnapshot lifetime = backend->LifetimeStats();
+  const obs::StatsSnapshot lifetime = engine->LifetimeStats();
   for (const auto& [name, value] : lifetime.Items()) {
     if (name.rfind("cache.", 0) == 0) continue;  // trie cache authoritative
     out.emplace_back(name, static_cast<double>(value));
@@ -48,7 +48,7 @@ std::vector<std::pair<std::string, double>> CollectStatsExport(
 }
 
 std::string RenderPrometheusMetrics(const obs::ServerStats& stats,
-                                    QueryBackend* backend) {
+                                    Engine* engine) {
   obs::MetricsTextWriter w;
   const obs::ServerStats::Snapshot s = stats.snapshot();
 
@@ -91,7 +91,7 @@ std::string RenderPrometheusMetrics(const obs::ServerStats& stats,
                 {{"outcome", obs::RequestOutcomeName(outcome)}});
   }
 
-  TrieCache* cache = backend->trie_cache();
+  TrieCache* cache = engine->trie_cache();
   w.Counter("lh_trie_cache_hits_total", "Trie-cache lookup hits.",
             static_cast<double>(cache->hits()));
   w.Counter("lh_trie_cache_misses_total", "Trie-cache lookup misses.",
@@ -120,7 +120,7 @@ std::string RenderPrometheusMetrics(const obs::ServerStats& stats,
   // counter snapshot, under an engine_ prefix so the per-query counter
   // names (DESIGN.md §8 glossary) stay recognizable without colliding
   // with the trie-cache families above.
-  const obs::StatsSnapshot lifetime = backend->LifetimeStats();
+  const obs::StatsSnapshot lifetime = engine->LifetimeStats();
   for (const auto& [name, value] : lifetime.Items()) {
     const std::string dotted = "engine." + name;
     const std::string metric = obs::MetricsTextWriter::SanitizeName(dotted);
@@ -137,19 +137,6 @@ std::string RenderPrometheusMetrics(const obs::ServerStats& stats,
     }
   }
 
-  // Per-lane dispatch tallies of a sharded backend (src/shard); always
-  // live, labelled by lane index. Empty for a plain Engine.
-  for (const ShardLaneInfo& lane : backend->ShardLanes()) {
-    const std::string label = std::to_string(lane.lane);
-    w.Counter("lh_shard_lane_queries_total",
-              "Scattered queries this lane participated in.",
-              static_cast<double>(lane.queries), {{"lane", label}});
-    w.Counter("lh_shard_lane_chunks_total",
-              "Plan chunks dispatched to this lane.",
-              static_cast<double>(lane.chunks), {{"lane", label}});
-    w.Gauge("lh_shard_lane_threads", "Worker threads in this lane's pool.",
-            static_cast<double>(lane.threads), {{"lane", label}});
-  }
   return w.str();
 }
 

@@ -12,25 +12,24 @@
 #include <utility>
 #include <vector>
 
-#include "core/query_backend.h"
+#include "core/engine.h"
 #include "obs/server_stats.h"
 
 namespace levelheaded::server {
 
 /// The {"stats": true} payload: server.* counters, cache.* trie-cache
 /// tallies (always live, no profiling needed), and the engine's lifetime
-/// intersect.*/trie.*/exec.*/pool.*/expr.*/shard.* totals (accumulated
+/// intersect.*/trie.*/exec.*/pool.*/expr.* totals (accumulated
 /// from profiled queries). Keys are unique: the trie cache is
 /// authoritative for cache.*, so the profile-attributed duplicates are
 /// skipped.
 [[nodiscard]] std::vector<std::pair<std::string, double>> CollectStatsExport(
-    const obs::ServerStats& stats, QueryBackend* backend);
+    const obs::ServerStats& stats, Engine* engine);
 
 /// Everything above plus the latency histograms (global, per request
-/// class, per outcome) as Prometheus text exposition format 0.0.4, and —
-/// for sharded backends — per-lane lh_shard_lane_* rows labelled by lane.
+/// class, per outcome) as Prometheus text exposition format 0.0.4.
 [[nodiscard]] std::string RenderPrometheusMetrics(
-    const obs::ServerStats& stats, QueryBackend* backend);
+    const obs::ServerStats& stats, Engine* engine);
 
 }  // namespace levelheaded::server
 

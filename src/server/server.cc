@@ -28,7 +28,7 @@ Status Server::Start() {
   LH_ASSIGN_OR_RETURN(port_, BoundPort(listener_));
   if (options_.metrics_port >= 0) {
     metrics_http_ = std::make_unique<MetricsHttpServer>(
-        [this] { return RenderPrometheusMetrics(stats_, backend_); });
+        [this] { return RenderPrometheusMetrics(stats_, engine_); });
     Status st = metrics_http_->Start(
         static_cast<uint16_t>(options_.metrics_port),
         options_.poll_interval_ms);
@@ -200,13 +200,13 @@ std::string Server::HandleRequest(int slot, const ServerRequest& request,
                                   obs::RequestOutcome* outcome) {
   *outcome = obs::RequestOutcome::kOk;
   if (request.mode == ServerRequest::Mode::kStats) {
-    return BuildStatsResponse(CollectStatsExport(stats_, backend_));
+    return BuildStatsResponse(CollectStatsExport(stats_, engine_));
   }
   if (request.mode == ServerRequest::Mode::kMetrics) {
-    return BuildMetricsResponse(RenderPrometheusMetrics(stats_, backend_));
+    return BuildMetricsResponse(RenderPrometheusMetrics(stats_, engine_));
   }
   if (request.mode == ServerRequest::Mode::kSlowLog) {
-    const obs::SlowQueryLog* log = backend_->slow_query_log();
+    const obs::SlowQueryLog* log = engine_->slow_query_log();
     return BuildSlowLogResponse(log->Snapshot(), log->threshold_ms(),
                                 log->total_recorded());
   }
@@ -224,7 +224,7 @@ std::string Server::HandleRequest(int slot, const ServerRequest& request,
   opts.cancel_token = &token;
 
   if (request.mode == ServerRequest::Mode::kExplain) {
-    const Result<ExplainInfo> info = backend_->Explain(request.sql, opts);
+    const Result<ExplainInfo> info = engine_->Explain(request.sql, opts);
     if (info.ok()) {
       stats_.CountCompleted();
       return BuildExplainResponse(info.value());
@@ -236,8 +236,8 @@ std::string Server::HandleRequest(int slot, const ServerRequest& request,
 
   const Result<QueryResult> result =
       request.mode == ServerRequest::Mode::kAnalyze
-          ? backend_->QueryAnalyze(request.sql, opts)
-          : backend_->Query(request.sql, opts);
+          ? engine_->QueryAnalyze(request.sql, opts)
+          : engine_->Query(request.sql, opts);
   if (result.ok()) {
     stats_.CountCompleted();
     // The profile rides only on analyze responses — a plain query run

@@ -1,7 +1,6 @@
 // The LevelHeaded network serving layer (DESIGN.md §12): a multi-threaded
 // TCP server speaking newline-delimited JSON (server/protocol.h) over one
-// shared, thread-safe QueryBackend — a single Engine or a sharded
-// scatter-gather ShardedEngine (src/shard); the server is agnostic.
+// shared, thread-safe Engine.
 //
 //   Engine engine(&catalog, {.max_result_rows = ...});
 //   Server server(&engine, {.port = 0, .num_workers = 4});
@@ -33,7 +32,7 @@
 #include <memory>
 
 #include "core/cancel.h"
-#include "core/query_backend.h"
+#include "core/engine.h"
 #include "obs/server_stats.h"
 #include "server/metrics_http.h"
 #include "server/protocol.h"
@@ -75,9 +74,9 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// `backend` must outlive the server; its catalog must be finalized.
-  Server(QueryBackend* backend, const ServerOptions& options)
-      : backend_(backend), options_(options), queue_(options.queue_capacity),
+  /// `engine` must outlive the server; its catalog must be finalized.
+  Server(Engine* engine, const ServerOptions& options)
+      : engine_(engine), options_(options), queue_(options.queue_capacity),
         worker_tokens_(static_cast<size_t>(
             options.num_workers > 0 ? options.num_workers : 0)) {}
   ~Server() { Stop(); }
@@ -104,7 +103,7 @@ class Server {
 
   obs::ServerStats& stats() { return stats_; }
   const ServerOptions& options() const { return options_; }
-  QueryBackend* backend() { return backend_; }
+  Engine* engine() { return engine_; }
 
  private:
   void AcceptLoop();
@@ -117,7 +116,7 @@ class Server {
 
   bool Draining() const { return draining_.load(std::memory_order_acquire); }
 
-  QueryBackend* backend_;
+  Engine* engine_;
   const ServerOptions options_;
   RequestQueue queue_;
   /// One token per worker; worker `slot` re-arms tokens_[slot] before each

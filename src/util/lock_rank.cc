@@ -11,8 +11,6 @@ const char* LockRankName(LockRank rank) {
       return "server_queue";
     case LockRank::kGlobalPool:
       return "global_pool";
-    case LockRank::kPoolSubmit:
-      return "pool_submit";
     case LockRank::kPool:
       return "pool";
     case LockRank::kExecScratch:
@@ -42,7 +40,7 @@ namespace lock_rank {
 namespace {
 
 // Deep enough for any real nesting (the engine's deepest documented chain
-// is 5: server_queue would-be → pool_submit → pool → trace-ish leaves);
+// is 4: server_queue would-be → pool → trace-ish leaves);
 // overflowing it is itself a discipline bug and aborts.
 constexpr int kMaxHeldLocks = 32;
 

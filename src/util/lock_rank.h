@@ -18,8 +18,8 @@
 //
 // The rank table below is the single source of truth for the engine's
 // lock ordering; the same table is documented with its rationale in
-// DESIGN.md §14. Gaps between values leave room for future locks (sharded
-// engines, ingestion epochs) without renumbering.
+// DESIGN.md §14. Gaps between values leave room for future locks (e.g.
+// ingestion epochs) without renumbering.
 
 #ifndef LEVELHEADED_UTIL_LOCK_RANK_H_
 #define LEVELHEADED_UTIL_LOCK_RANK_H_
@@ -39,15 +39,12 @@ enum class LockRank : int {
   /// is lock-free). Below the pool locks because replacing the pool joins
   /// worker threads, which takes ThreadPool::mu_.
   kGlobalPool = 20,
-  /// ThreadPool::submit_mu_ — serializes ParallelChunks callers. Held for
-  /// the whole parallel region, including user chunks running on the
-  /// calling thread, so everything a chunk may lock ranks above it.
-  kPoolSubmit = 30,
-  /// ThreadPool::mu_ — task deque + job state.
+  /// ThreadPool::mu_ — the task deque. Held only around queue operations,
+  /// never across a task or a chunk.
   kPool = 40,
   /// NodeExec::scratch_mu_ — chunk-run worker freelist. Acquired briefly at
-  /// chunk start/end from inside parallel regions (kPoolSubmit may be
-  /// held); nothing is ever acquired while it is held.
+  /// chunk start/end from inside parallel regions; nothing is ever
+  /// acquired while it is held.
   kExecScratch = 45,
   /// TrieCache::flight_mu_ — single-flight build registry. Never held
   /// across a build or another cache lock.
@@ -58,7 +55,7 @@ enum class LockRank : int {
   /// TrieCache::Shard::mu — per-shard hash map. Innermost cache lock.
   kCacheShard = 70,
   /// Executor abort mutexes (first-error capture). Taken from inside
-  /// parallel chunks, i.e. while kPoolSubmit/kPool may be held.
+  /// parallel chunks.
   kExecAbort = 80,
   /// obs::Trace::mu_ — span buffer.
   kTrace = 90,
@@ -70,7 +67,7 @@ enum class LockRank : int {
   kLeaf = 1000,
 };
 
-/// Stable lowercase name for diagnostics ("pool_submit", "cache_shard"...).
+/// Stable lowercase name for diagnostics ("pool", "cache_shard"...).
 const char* LockRankName(LockRank rank);
 
 // The checker rides the LH_DCHECK gate (util/logging.h): on in debug and

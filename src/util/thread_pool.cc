@@ -1,10 +1,5 @@
 #include "util/thread_pool.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
@@ -16,8 +11,8 @@
 namespace levelheaded {
 namespace {
 // Nested ParallelChunks calls (e.g. a parallel BLAS kernel invoked from a
-// parallel WCOJ loop) run inline on the calling thread rather than
-// re-entering the pool.
+// parallel WCOJ loop) run inline on the calling thread: the pool's threads
+// are already busy with the outer region, so more runners would only queue.
 thread_local bool t_in_parallel_region = false;
 
 // Pool-worker slot of the current thread, or -1 for external threads.
@@ -34,29 +29,13 @@ std::unique_ptr<ThreadPool>& GlobalPoolSlot() {
   return pool;
 }
 
-// Published pointer for the lock-free Global() fast path. Nested parallel
-// kernels (BLAS-from-WCOJ, trie builds) call Global() from inside chunks
-// while submit_mu_ (rank pool_submit) is held; taking the slot mutex there
-// would both invert the lock order — kGlobalPool ranks below the pool
-// locks because replacing the pool joins workers under ThreadPool::mu_ —
-// and serialize every kernel on one global mutex.
+// Published pointer for the lock-free Global() fast path. Every parallel
+// kernel (BLAS-from-WCOJ, trie builds, each query's chunk loop) calls
+// Global(), often from inside chunks; taking the slot mutex there would
+// serialize every kernel of every query on one global mutex.
 std::atomic<ThreadPool*>& GlobalPoolPtr() {
   static std::atomic<ThreadPool*> pool{nullptr};
   return pool;
-}
-
-// Best-effort CPU pinning for shard lanes (src/shard). A failed pin (cpu
-// offline, cgroup-restricted affinity mask) is ignored: pinning is a
-// locality optimization, never a correctness requirement.
-void PinCurrentThread(int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
 }
 
 // Guards pool creation/replacement only; never on the query path.
@@ -66,10 +45,7 @@ Mutex& GlobalPoolMutex() {
 }
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads) : ThreadPool(num_threads, {}) {}
-
-ThreadPool::ThreadPool(int num_threads, std::vector<int> pin_cpus)
-    : pin_cpus_(std::move(pin_cpus)) {
+ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -90,63 +66,37 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop(int slot) {
   t_worker_slot = slot;
-  if (static_cast<size_t>(slot) < pin_cpus_.size()) {
-    PinCurrentThread(pin_cpus_[slot]);
-  }
-  uint64_t seen_epoch = 0;
   while (true) {
-    ParallelJob* job = nullptr;
     Task task;
-    bool have_task = false;
     {
       MutexLock lock(&mu_);
-      while (!(shutdown_ || !tasks_.empty() ||
-               (current_job_ != nullptr && job_epoch_ != seen_epoch))) {
-        wake_cv_.Wait(&mu_);
-      }
+      while (!shutdown_ && tasks_.empty()) wake_cv_.Wait(&mu_);
       if (shutdown_) return;
-      // Tasks take priority over job chunks: tasks are sub-work spawned from
-      // inside running chunks, so draining them first bounds the queue and
-      // unblocks waiters helping on TaskGroup::Wait.
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-        have_task = true;
-      } else {
-        seen_epoch = job_epoch_;
-        job = current_job_;
-        // Relaxed: the increment happens under mu_ before the coordinator
-        // can observe job completion; ordering comes from the mutex.
-        job->active_workers.fetch_add(1, std::memory_order_relaxed);
-      }
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    if (have_task) {
-      RunTask(task, slot);
-      continue;
-    }
-    RunJobSlice(job, slot);
-    if (job->active_workers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      MutexLock lock(&mu_);
-      done_cv_.NotifyAll();
-    }
+    RunTask(task, slot);
   }
 }
 
 void ThreadPool::RunTask(Task& task, int slot) {
   // Tasks count as a parallel region: a ParallelChunks issued from inside a
-  // task runs inline instead of re-entering the single job slot. Save and
-  // restore rather than set/clear — helping threads run tasks from within
-  // regions that are themselves parallel.
+  // task runs inline. Save and restore rather than set/clear — helping
+  // threads run tasks from within regions that are themselves parallel.
   const bool saved_region = t_in_parallel_region;
   t_in_parallel_region = true;
   {
-    // Install the *submitting* query's stats hook for the duration of the
-    // task: a thread helping on TaskGroup::Wait may run another query's
-    // task, and its increments must land in that query's counters.
+    // Install the enqueuing query's stats hook for the duration of the
+    // task: a worker may run any query's task, and its increments must
+    // land in that query's counters.
     obs::StatsScope stats_scope(task.stats);
-    task.fn();
-    if (slot != task.submitter_slot && task.stats != nullptr) {
-      task.stats->CountTaskStolen(1);
+    if (task.region != nullptr) {
+      RunRegion(*task.region, task.slot);
+    } else {
+      task.fn();
+      if (slot != task.slot && task.stats != nullptr) {
+        task.stats->CountTaskStolen(1);
+      }
     }
   }
   t_in_parallel_region = saved_region;
@@ -170,7 +120,7 @@ void ThreadPool::Submit(TaskGroup* group, std::function<void()> fn) {
   group->pending_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock lock(&mu_);
-    tasks_.push_back(Task{std::move(fn), group, submitter, stats});
+    tasks_.push_back(Task{std::move(fn), nullptr, submitter, group, stats});
   }
   wake_cv_.NotifyOne();
   if (stats != nullptr) stats->CountTaskSpawned(1);
@@ -189,44 +139,41 @@ void ThreadPool::TaskGroup::Wait() {
   // Acquire: pairs with the final task's acq_rel fetch_sub in RunTask,
   // making every task's writes visible once the count reads zero.
   while (pending_.load(std::memory_order_acquire) > 0) {
-    if (!pool_->tasks_.empty()) {
-      Task task = std::move(pool_->tasks_.front());
-      pool_->tasks_.pop_front();
+    // Only this group's tasks: another query's task could hold this
+    // thread long after its own group is done.
+    auto it = std::find_if(pool_->tasks_.begin(), pool_->tasks_.end(),
+                           [this](const Task& t) { return t.group == this; });
+    if (it != pool_->tasks_.end()) {
+      Task task = std::move(*it);
+      pool_->tasks_.erase(it);
       pool_->mu_.Unlock();
       pool_->RunTask(task, slot);
       pool_->mu_.Lock();
     } else {
       // All of this group's remaining tasks are running on other threads;
-      // task_cv_ fires as each one completes.
+      // task_cv_ fires as each group's last one completes.
       pool_->task_cv_.Wait(&pool_->mu_);
     }
   }
   pool_->mu_.Unlock();
 }
 
-void ThreadPool::RunJobSlice(ParallelJob* job, int slot) {
-  const int64_t grain = job->grain;
-  t_in_parallel_region = true;
+void ThreadPool::RunRegion(Region& region, int slot) {
+  const int64_t grain = region.grain;
   uint64_t chunks = 0;
-  {
-    // Run chunks under the driving query's stats hook so worker-side kernel
-    // counters attribute to the query that issued the ParallelChunks, not to
-    // whatever the worker thread last collected for.
-    obs::StatsScope stats_scope(job->stats);
-    while (true) {
-      // Relaxed: next is a pure claim ticket — no data is published through
-      // it; the job payload was made visible by the mu_ job hand-off.
-      int64_t start = job->next.fetch_add(grain, std::memory_order_relaxed);
-      if (start >= job->end) break;
-      int64_t stop = std::min(start + grain, job->end);
-      (*job->fn)(slot, start, stop);
-      ++chunks;
-    }
-    if (chunks > 0 && job->stats != nullptr) {
-      job->stats->CountThreadPoolChunk(chunks);
+  while (true) {
+    // Relaxed: next is a pure claim ticket — no data is published through
+    // it; the region was published by the mu_ hand-off of its runners.
+    int64_t start = region.next.fetch_add(grain, std::memory_order_relaxed);
+    if (start >= region.end) break;
+    (*region.fn)(slot, start, std::min(start + grain, region.end));
+    ++chunks;
+  }
+  if (chunks > 0) {
+    if (obs::ExecStats* stats = obs::ActiveStats()) {
+      stats->CountThreadPoolChunk(chunks);
     }
   }
-  t_in_parallel_region = false;
 }
 
 void ThreadPool::ParallelChunks(
@@ -235,8 +182,8 @@ void ThreadPool::ParallelChunks(
   if (begin >= end) return;
   LH_CHECK_GT(grain, 0);
   const int64_t total = end - begin;
-  // Small jobs run inline (dispatch overhead would dominate); so do nested
-  // parallel regions, which would otherwise deadlock on the single job slot.
+  // Small regions run inline (dispatch overhead would dominate); so do
+  // nested ones, whose pool threads are already busy with the outer region.
   if (total <= grain || workers_.empty() || t_in_parallel_region) {
     fn(num_threads(), begin, end);
     if (obs::ExecStats* stats = obs::ActiveStats()) {
@@ -244,34 +191,37 @@ void ThreadPool::ParallelChunks(
     }
     return;
   }
-  MutexLock submit_lock(&submit_mu_);
-  ParallelJob job;
-  // Relaxed: the job is not yet visible to any worker; publication happens
-  // via the mu_ critical section below.
-  job.next.store(begin, std::memory_order_relaxed);
-  job.end = end;
-  job.grain = grain;
-  job.fn = &fn;
-  job.stats = obs::ActiveStats();
-
+  Region region;
+  // Relaxed: the region is not yet visible to any runner; publication
+  // happens via the mu_ critical section below.
+  region.next.store(begin, std::memory_order_relaxed);
+  region.end = end;
+  region.grain = grain;
+  region.fn = &fn;
+  // The caller takes a chunk too, so more runners than chunks - 1 would
+  // only find the cursor spent.
+  const int64_t chunks = (total + grain - 1) / grain;
+  const int runners =
+      static_cast<int>(std::min<int64_t>(num_threads(), chunks - 1));
+  TaskGroup group(this);
+  // Relaxed: as in Submit, the runners' matching fetch_subs follow on the
+  // same variable.
+  group.pending_.store(runners, std::memory_order_relaxed);
+  obs::ExecStats* stats = obs::ActiveStats();
   {
     MutexLock lock(&mu_);
-    LH_CHECK(current_job_ == nullptr);
-    current_job_ = &job;
-    ++job_epoch_;
+    for (int r = 0; r < runners; ++r) {
+      tasks_.push_back(Task{nullptr, &region, r, &group, stats});
+    }
   }
   wake_cv_.NotifyAll();
 
-  // The calling thread participates with slot id == num_threads().
-  RunJobSlice(&job, num_threads());
-
-  {
-    MutexLock lock(&mu_);
-    while (job.active_workers.load(std::memory_order_acquire) != 0) {
-      done_cv_.Wait(&mu_);
-    }
-    current_job_ = nullptr;
-  }
+  // The calling thread participates with slot num_threads(), then helps
+  // with (or waits for) the runners it enqueued.
+  t_in_parallel_region = true;
+  RunRegion(region, num_threads());
+  t_in_parallel_region = false;
+  group.Wait();
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,

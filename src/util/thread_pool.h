@@ -35,22 +35,16 @@ inline int64_t AdaptiveGrain(int64_t total, int64_t min_grain = 1) {
   return std::max<int64_t>(min_grain, grain);
 }
 
-/// A fixed-size worker pool with a blocking ParallelFor.
+/// A fixed-size worker pool: one task deque that runs both Submit() tasks
+/// and the runner tasks of ParallelChunks regions.
 ///
-/// Thread-safe for concurrent Submit calls; ParallelFor is typically driven
-/// from one coordinating thread at a time.
+/// Thread-safe: any number of threads may Submit and drive ParallelChunks
+/// regions concurrently; their tasks interleave on the one deque.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (defaults to the hardware
   /// concurrency, at least 1).
   explicit ThreadPool(int num_threads = 0);
-
-  /// As above, additionally pinning worker `i` to CPU `pin_cpus[i]` (extra
-  /// workers beyond pin_cpus.size() stay unpinned). Pinning is best-effort
-  /// — an offline CPU or a restricted affinity mask is silently ignored —
-  /// and Linux-only; other platforms run unpinned. Shard lanes
-  /// (src/shard) use this to keep a lane's workers on one NUMA domain.
-  ThreadPool(int num_threads, std::vector<int> pin_cpus);
 
   ~ThreadPool();
 
@@ -61,23 +55,29 @@ class ThreadPool {
 
   /// Runs `fn(thread_slot, index)` for every index in [begin, end).
   /// Indices are distributed dynamically in chunks of `grain`.
-  /// `thread_slot` is in [0, num_threads()+1) and is stable within one
-  /// chunk, letting callers keep per-slot scratch state. The calling thread
+  /// `thread_slot` is in [0, num_threads()+1), is held by one thread at a
+  /// time within this call, and is stable within one chunk, letting callers
+  /// keep per-slot scratch state local to the call. The calling thread
   /// participates (slot num_threads()). Blocks until all indices are done.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int, int64_t)>& fn);
 
   /// Chunked variant: runs `fn(thread_slot, chunk_begin, chunk_end)` over
-  /// dynamically scheduled chunks.
+  /// dynamically scheduled chunks. The region enqueues up to num_threads()
+  /// runner tasks, runner r holding slot r; runners and the caller claim
+  /// chunks from the region's own cursor, so regions of concurrent callers
+  /// overlap. A call from inside a region or task runs inline (one chunk,
+  /// slot num_threads()).
   void ParallelChunks(
       int64_t begin, int64_t end, int64_t grain,
       const std::function<void(int, int64_t, int64_t)>& fn);
 
   /// Tracks a batch of tasks submitted via Submit(). Wait() blocks until all
   /// of the group's tasks have finished, *helping*: while waiting it pops and
-  /// runs queued tasks (from any group) on the calling thread, so a worker
+  /// runs the group's own queued tasks on the calling thread, so a worker
   /// inside a ParallelChunks chunk can fan out sub-work and wait for it
-  /// without deadlocking even when every pool thread is busy.
+  /// without deadlocking even when every pool thread is busy, and never
+  /// stalls behind another query's work.
   ///
   /// A group must be waited (pending reaches zero) before it is destroyed
   /// and before its pool is destroyed.
@@ -119,46 +119,38 @@ class ThreadPool {
   static void SetGlobalThreadsForTesting(int num_threads);
 
  private:
+  /// One ParallelChunks call: the chunk cursor its runners claim from.
+  struct Region {
+    std::atomic<int64_t> next{0};
+    int64_t end = 0;
+    int64_t grain = 1;
+    const std::function<void(int, int64_t, int64_t)>* fn = nullptr;
+  };
+
+  /// A Submit() task (`fn`) or a region runner (`region`, `slot`).
   struct Task {
     std::function<void()> fn;
+    Region* region = nullptr;
+    /// Submit task: the submitting thread's slot (steal accounting).
+    /// Runner: the region-local slot the runner hands to `fn`.
+    int slot = -1;
     TaskGroup* group = nullptr;
-    int submitter_slot = -1;
-    /// The submitting query's stats hook, captured at Submit() time and
-    /// re-installed (via StatsScope) on whichever thread runs the task, so
-    /// counters land in the right query even when a helping thread runs a
-    /// task from another query.
+    /// The enqueuing query's stats hook, re-installed (via StatsScope) on
+    /// whichever thread runs the task, so counters land in the right query
+    /// even when a worker runs tasks of several queries in turn.
     obs::ExecStats* stats = nullptr;
   };
 
   void WorkerLoop(int slot);
   void RunTask(Task& task, int slot);
+  /// Claims and runs `region`'s chunks as `slot` until its cursor is spent.
+  static void RunRegion(Region& region, int slot);
 
-  struct ParallelJob {
-    std::atomic<int64_t> next{0};
-    int64_t end = 0;
-    int64_t grain = 1;
-    const std::function<void(int, int64_t, int64_t)>* fn = nullptr;
-    std::atomic<int> active_workers{0};
-    /// Driving query's stats hook (see Task::stats).
-    obs::ExecStats* stats = nullptr;
-  };
-
-  void RunJobSlice(ParallelJob* job, int slot);
-
-  /// Per-slot CPU pin targets (may be shorter than workers_; see the
-  /// pinning constructor). Written once before workers spawn.
-  std::vector<int> pin_cpus_;
   std::vector<std::thread> workers_;
-  /// Serializes concurrent ParallelChunks callers; held across the whole
-  /// parallel region (a phase lock, not a data guard — hence the waiver).
-  Mutex submit_mu_{LockRank::kPoolSubmit};  // lint: unguarded(phase lock: serializes ParallelChunks callers, guards no fields)
   Mutex mu_{LockRank::kPool};
-  CondVar wake_cv_;  // workers: new tasks / new job / shutdown
-  CondVar done_cv_;  // coordinator: job's active_workers reached zero
-  CondVar task_cv_;  // signaled as group tasks finish
+  CondVar wake_cv_;  // workers: new tasks / shutdown
+  CondVar task_cv_;  // signaled as a group's last task finishes
   std::deque<Task> tasks_ LH_GUARDED_BY(mu_);
-  ParallelJob* current_job_ LH_GUARDED_BY(mu_) = nullptr;
-  uint64_t job_epoch_ LH_GUARDED_BY(mu_) = 0;
   bool shutdown_ LH_GUARDED_BY(mu_) = false;
 };
 

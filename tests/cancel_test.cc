@@ -3,7 +3,10 @@
 // executor (core/cancel.h). The serving layer's use of the same machinery
 // is covered by server_test.cc.
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,6 +17,7 @@
 
 #include "core/cancel.h"
 #include "core/engine.h"
+#include "obs/profile.h"
 #include "util/rng.h"
 #include "workload/matrix_gen.h"
 
@@ -203,6 +207,99 @@ TEST_F(CancelTest, MaxResultRowsIgnoresAggregates) {
   auto result = engine.Query(kTriangleSql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().num_rows, 1u);
+}
+
+/// A weighted graph whose hub owns most of the 2-paths, so the weighted
+/// triangle's hub chunk trips the heavy-root skew splitter and fans out
+/// sub-tasks: cancelled and uncancelled regions then drain and run on the
+/// one pool at the same time.
+class CancelBurstTest : public ::testing::Test {
+ protected:
+  static constexpr int kHubFanout = 4000;
+  static constexpr char kHeavySql[] =
+      "SELECT sum(e1.w * e2.w * e3.w) FROM edge e1, edge e2, edge e3 "
+      "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src";
+
+  void SetUp() override {
+    Table* t = catalog_
+                   .CreateTable(TableSchema(
+                       "edge",
+                       {ColumnSpec::Key("src", ValueType::kInt64, "node"),
+                        ColumnSpec::Key("dst", ValueType::kInt64, "node"),
+                        ColumnSpec::Annotation("w", ValueType::kDouble)}))
+                   .ValueOrDie();
+    Rng rng(20260809);
+    for (int i = 1; i <= kHubFanout; ++i) {
+      // Magnitude-varying weights: summation order shows up in the bits.
+      ASSERT_TRUE(t->AppendRow({Value::Int(0), Value::Int(i),
+                                Value::Real(rng.UniformDouble(0, 1) *
+                                            (1 + (i % 13) * 1e3))})
+                      .ok());
+      ASSERT_TRUE(t->AppendRow({Value::Int(i), Value::Int(1 + (i % 97)),
+                                Value::Real(rng.UniformDouble(-1, 1))})
+                      .ok());
+    }
+    for (int j = 1; j <= 97; ++j) {
+      ASSERT_TRUE(t->AppendRow({Value::Int(j), Value::Int(0),
+                                Value::Real(rng.UniformDouble(0, 2))})
+                      .ok());
+    }
+    ASSERT_TRUE(catalog_.Finalize().ok());
+  }
+
+  static uint64_t SumBits(const QueryResult& r) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &r.columns[0].reals[0], sizeof(bits));
+    return bits;
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(CancelBurstTest, ConcurrentCancelBurstNeverHangs) {
+  Engine engine(&catalog_);
+  auto reference = engine.QueryAnalyze(kHeavySql);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference.value().profile->counters.exec_skew_splits, 0u);
+  const uint64_t expected = SumBits(reference.value());
+
+  // An uncancelled query keeps running on the same engine throughout the
+  // burst; its answer must not move while cancelled regions drain.
+  std::atomic<bool> stop{false};
+  std::atomic<int> bystander_runs{0};
+  std::atomic<int> bystander_mismatches{0};
+  std::thread bystander([&] {
+    while (!stop.load() || bystander_runs.load() == 0) {
+      auto r = engine.Query(kHeavySql);
+      if (!r.ok() || SumBits(r.value()) != expected) ++bystander_mismatches;
+      ++bystander_runs;
+    }
+  });
+
+  // Repeated race: the cancel may land before, during, or after the
+  // parallel region — every outcome is legal, but the call must return
+  // and any failure must be kCancelled.
+  for (int iter = 0; iter < 8; ++iter) {
+    CancelToken token;
+    QueryOptions opts;
+    opts.cancel_token = &token;
+    std::thread canceller([&token] { token.Cancel(); });
+    auto r = engine.Query(kHeavySql, opts);
+    canceller.join();
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    } else {
+      EXPECT_EQ(SumBits(r.value()), expected);
+    }
+  }
+  stop.store(true);
+  bystander.join();
+  EXPECT_GT(bystander_runs.load(), 0);
+  EXPECT_EQ(bystander_mismatches.load(), 0);
+
+  auto ok = engine.Query(kHeavySql);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(SumBits(ok.value()), expected);
 }
 
 /// A large SMV whose vector covers its whole domain: the vector's trie

@@ -38,9 +38,9 @@ namespace levelheaded {
 namespace {
 
 TEST(ThreadPoolStressTest, ConcurrentParallelChunksDrivers) {
-  // Several caller threads drive the *same* global pool at once;
-  // submit_mu_ must serialize the jobs without losing or double-running
-  // indices.
+  // Several caller threads drive the *same* global pool at once; their
+  // regions interleave on the one task deque without losing or
+  // double-running indices.
   constexpr int kCallers = 4;
   constexpr int64_t kN = 2000;
   std::vector<std::atomic<int64_t>> sums(kCallers);
@@ -61,6 +61,70 @@ TEST(ThreadPoolStressTest, ConcurrentParallelChunksDrivers) {
   for (int c = 0; c < kCallers; ++c) {
     EXPECT_EQ(sums[c].load(), kN * (kN - 1) / 2) << "caller " << c;
   }
+}
+
+TEST(ThreadPoolStressTest, RegionsOfConcurrentCallersOverlapInTime) {
+  // Each region's first chunk waits (bounded) for the other region to
+  // enter: only regions that really run at the same time both see it.
+  ThreadPool pool(2);
+  constexpr auto kTimeout = std::chrono::seconds(2);
+  std::atomic<bool> entered[2] = {false, false};
+  std::atomic<bool> saw_other[2] = {false, false};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      pool.ParallelChunks(0, 8, 1, [&, c](int, int64_t lo, int64_t) {
+        if (lo != 0) return;
+        entered[c].store(true);
+        const auto deadline = std::chrono::steady_clock::now() + kTimeout;
+        while (!entered[1 - c].load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        saw_other[c].store(entered[1 - c].load());
+      });
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_TRUE(saw_other[0].load());
+  EXPECT_TRUE(saw_other[1].load());
+}
+
+TEST(ThreadPoolStressTest, OverlappingRegionsKeepSlotsExclusive) {
+  // Per-slot scratch is only safe if, within one region, a slot is never
+  // held by two running chunks at once — also while other regions share
+  // the pool's threads.
+  ThreadPool pool(3);
+  constexpr int kRegions = 4;
+  const int slots = pool.num_threads() + 1;
+  std::atomic<int> out_of_range{0};
+  std::atomic<int> double_held{0};
+  std::atomic<int64_t> chunks_run{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kRegions; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> in_use(static_cast<size_t>(slots));
+        for (auto& u : in_use) u.store(0);
+        pool.ParallelChunks(0, 64, 1, [&](int slot, int64_t, int64_t) {
+          chunks_run.fetch_add(1, std::memory_order_relaxed);
+          if (slot < 0 || slot >= slots) {
+            ++out_of_range;
+            return;
+          }
+          if (in_use[static_cast<size_t>(slot)].exchange(1) != 0) {
+            ++double_held;
+          }
+          std::this_thread::yield();
+          in_use[static_cast<size_t>(slot)].store(0);
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(chunks_run.load(), int64_t{kRegions} * 20 * 64);
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(double_held.load(), 0);
 }
 
 TEST(ThreadPoolStressTest, ConstructionTeardownChurn) {

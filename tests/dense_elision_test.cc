@@ -3,7 +3,7 @@
 // base_rank(set) + v. These differential tests pin the elided loops to
 // reference kernels (SMV bit for bit against la::SpMVNaive, which sums in
 // the same order; SMM against la::SpGEMM, and bit for bit across thread
-// and shard counts), check the shapes where no elision may happen (a
+// counts), check the shapes where no elision may happen (a
 // vector with holes, a matrix with empty rows), and cover the BI and
 // dense shapes that reach the same rule (a full dimension table, DMM
 // without BLAS).
@@ -26,7 +26,6 @@
 #include "la/sparse.h"
 #include "obs/profile.h"
 #include "reference_executor.h"
-#include "shard/sharded_engine.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/matrix_gen.h"
@@ -324,14 +323,6 @@ TEST_F(DenseElisionTest, SmmMatchesSpGemmAndIsThreadAndShardInvariant) {
       ExpectBitIdentical(reference, r.value(),
                          m + " @ " + std::to_string(threads) + " threads");
     }
-    shard::ShardedEngineOptions options;
-    options.num_shards = 2;
-    options.threads_per_lane = 2;
-    options.pin_lanes = false;
-    shard::ShardedEngine sharded(&catalog_, options);
-    auto r = sharded.Query(SmmSql(m));
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectBitIdentical(reference, r.value(), m + " over 2 shard lanes");
   }
 }
 

@@ -11,7 +11,6 @@
 #include "obs/trace.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
-#include "util/thread_pool.h"
 
 namespace levelheaded {
 namespace {
@@ -260,14 +259,14 @@ class MaterializePartialsTest : public ::testing::Test {
     return out;
   }
 
-  /// Materializes `chunks` as a partial list (optionally on `pool`) and,
-  /// as the reference, as one ConcatFrom-folded table; returns both.
+  /// Materializes `chunks` as a partial list and, as the reference, as one
+  /// ConcatFrom-folded table; returns both.
   std::pair<QueryResult, QueryResult> Both(
-      const std::vector<std::vector<Row>>& chunks, ThreadPool* pool = nullptr,
+      const std::vector<std::vector<Row>>& chunks,
       double* parallel = nullptr) {
     auto parts = MakePartials(chunks);
-    std::vector<GroupPartial> list;
-    for (const auto& p : parts) list.push_back({p.get(), pool});
+    std::vector<GroupAccum*> list;
+    for (const auto& p : parts) list.push_back(p.get());
     obs::Trace trace;
     obs::TraceSpan span(&trace, "materialize");
     auto got = MaterializeGroups(*plan_, list, dims_, nullptr, &span);
@@ -282,7 +281,7 @@ class MaterializePartialsTest : public ::testing::Test {
     auto fresh = MakePartials(chunks);
     GroupAccum whole(2, &plan_->aggs);
     for (const auto& p : fresh) whole.ConcatFrom(*p);
-    auto want = MaterializeGroups(*plan_, {GroupPartial{&whole}}, dims_);
+    auto want = MaterializeGroups(*plan_, {&whole}, dims_);
     EXPECT_TRUE(want.ok()) << want.status().ToString();
     return {got.TakeValue(), want.TakeValue()};
   }
@@ -372,8 +371,8 @@ TEST_F(MaterializePartialsTest, StringKeyVertexDecodesOrStaysEncoded) {
 }
 
 /// kStrings x kInts groups cut into chunks, every other boundary splitting
-/// a group over two chunks, on a private pool: the decode runs as pool
-/// tasks and must match the serial reference bit for bit.
+/// a group over two chunks: the decode runs as tasks on the global pool
+/// and must match the serial reference bit for bit.
 TEST_F(MaterializePartialsTest, PooledDecodeMatchesSerialDecode) {
   ASSERT_GE(static_cast<size_t>(kStrings) * kInts, kParallelDecodeRows);
   for (const char* having : {"", "sum(a.v * b.w) > 0.125"}) {
@@ -393,9 +392,8 @@ TEST_F(MaterializePartialsTest, PooledDecodeMatchesSerialDecode) {
       split.v = 0.5;
       chunks[c + 1].insert(chunks[c + 1].begin(), split);
     }
-    ThreadPool pool(3);
     double parallel = -1;
-    auto [got, want] = Both(chunks, &pool, &parallel);
+    auto [got, want] = Both(chunks, &parallel);
     ExpectBitIdentical(got, want);
     EXPECT_EQ(parallel, 1) << having;
     EXPECT_GT(got.num_rows, 0u);
@@ -404,9 +402,8 @@ TEST_F(MaterializePartialsTest, PooledDecodeMatchesSerialDecode) {
 
 TEST_F(MaterializePartialsTest, SmallResultDecodesOnCallingThread) {
   Plan("");
-  ThreadPool pool(2);
   double parallel = -1;
-  auto [got, want] = Both({{{0, 0, 1.0}}, {{0, 1, 1.0}}}, &pool, &parallel);
+  auto [got, want] = Both({{{0, 0, 1.0}}, {{0, 1, 1.0}}}, &parallel);
   ExpectBitIdentical(got, want);
   EXPECT_EQ(parallel, 0);
 }
@@ -415,8 +412,8 @@ TEST_F(MaterializePartialsTest, RowBoundCountsHavingSurvivors) {
   Plan("sum(a.v * b.w) > 1.5");
   auto parts = MakePartials({{{0, 0, 1.0}, {0, 1, 2.0}},
                              {{0, 2, 3.0}, {1, 0, 1.0}}});
-  std::vector<GroupPartial> list;
-  for (const auto& p : parts) list.push_back({p.get()});
+  std::vector<GroupAccum*> list;
+  for (const auto& p : parts) list.push_back(p.get());
   // Four groups, two survive HAVING: the bound applies to the survivors.
   QueryGuard guard;
   guard.max_result_rows = 1;

@@ -20,7 +20,7 @@ namespace {
 #if LH_LOCK_RANK_ENABLED
 
 TEST(LockRankTest, InOrderAcquisitionIsSilent) {
-  Mutex outer(LockRank::kPoolSubmit);
+  Mutex outer(LockRank::kGlobalPool);
   Mutex inner(LockRank::kPool);
   SharedMutex shard(LockRank::kCacheShard);
   EXPECT_EQ(lock_rank::HeldCount(), 0);
@@ -45,7 +45,7 @@ TEST(LockRankTest, ReacquiringAfterReleaseIsSilent) {
 TEST(LockRankTest, OutOfLifoReleaseIsSilent) {
   // TaskGroup::Wait-style interleaving: locks need not release in LIFO
   // order, only acquire in rank order.
-  Mutex a(LockRank::kPoolSubmit);
+  Mutex a(LockRank::kGlobalPool);
   Mutex b(LockRank::kPool);
   a.Lock();
   b.Lock();
@@ -59,16 +59,16 @@ using LockRankDeathTest = ::testing::Test;
 
 TEST(LockRankDeathTest, InversionAbortsWithRankPairDiagnostic) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex outer(LockRank::kPoolSubmit);
+  Mutex outer(LockRank::kGlobalPool);
   Mutex inner(LockRank::kPool);
-  // pool (40) then pool_submit (30) inverts the documented order; the
+  // pool (40) then global_pool (20) inverts the documented order; the
   // diagnostic names both the offending rank and the held stack.
   EXPECT_DEATH(
       {
         MutexLock a(&inner);
         MutexLock b(&outer);
       },
-      "lock_rank.*pool_submit.*held ranks.*pool");
+      "lock_rank.*global_pool.*held ranks.*pool");
 }
 
 TEST(LockRankDeathTest, SameRankReacquisitionAborts) {
@@ -128,7 +128,7 @@ static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex),
               "release SharedMutex must carry no rank storage");
 
 TEST(LockRankTest, DisabledCheckerIgnoresInversions) {
-  Mutex outer(LockRank::kPoolSubmit);
+  Mutex outer(LockRank::kGlobalPool);
   Mutex inner(LockRank::kPool);
   {
     MutexLock a(&inner);

@@ -113,10 +113,10 @@ TEST(ExecStatsTest, ItemsCoverEveryCounter) {
   stats.CountIntersectElided(3);
   StatsSnapshot snap = stats.Snapshot();
   std::vector<std::pair<std::string, uint64_t>> items = snap.Items();
-  EXPECT_EQ(items.size(), 30u);
+  EXPECT_EQ(items.size(), 26u);
   bool saw_uint_uint = false;
   bool saw_elided = false;
-  bool saw_shard_scatters = false;
+  bool saw_task_steals = false;
   for (const auto& [name, value] : items) {
     if (name == "intersect.uint_uint") {
       saw_uint_uint = true;
@@ -126,14 +126,14 @@ TEST(ExecStatsTest, ItemsCoverEveryCounter) {
       saw_elided = true;
       EXPECT_EQ(value, 3u);
     }
-    if (name == "shard.scatters") {
-      saw_shard_scatters = true;
+    if (name == "pool.task_steals") {
+      saw_task_steals = true;
       EXPECT_EQ(value, 0u);
     }
   }
   EXPECT_TRUE(saw_uint_uint);
   EXPECT_TRUE(saw_elided);
-  EXPECT_TRUE(saw_shard_scatters);
+  EXPECT_TRUE(saw_task_steals);
 }
 
 TEST(ExecStatsTest, AtomicUnderThreadPool) {

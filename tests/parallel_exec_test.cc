@@ -10,10 +10,11 @@
 //     skewed graph where one hub owns most of the tuples (the shape that
 //     triggers heavy-root task splitting);
 //   - order-sensitive bit identity of append-mode SMM/SMV results across
-//     thread counts and shard lanes, on both sides of the parallel-decode
-//     row threshold;
+//     thread counts, on both sides of the parallel-decode row threshold;
 //   - a nested-parallelism stress: ParallelChunks workers fanning out
-//     Submit/Wait sub-tasks concurrently.
+//     Submit/Wait sub-tasks concurrently;
+//   - pool counter hygiene: region runners are neither spawned nor stolen
+//     tasks.
 //
 // Registered under the `concurrency` ctest label so the TSan preset runs it.
 
@@ -29,10 +30,10 @@
 #include "core/group_accum.h"
 #include "obs/profile.h"
 #include "set/intersect.h"
-#include "shard/sharded_engine.h"
 #include "set/set.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/tpch_gen.h"
 
 namespace levelheaded {
 namespace {
@@ -428,20 +429,6 @@ TEST_F(AppendModeOrderTest, UnsortedResultsBitIdenticalAcrossThreadCounts) {
                              " threads");
     }
   }
-  // Scattered over shard lanes, each partial decodes on the lane pool its
-  // chunk ran on; the answer must not move.
-  ThreadPool::SetGlobalThreadsForTesting(4);
-  shard::ShardedEngineOptions options;
-  options.num_shards = 2;
-  options.threads_per_lane = 2;
-  shard::ShardedEngine sharded(&catalog_, options);
-  int i = 0;
-  for (const char* q : {kSmm, kSmv}) {
-    auto r = sharded.Query(q);
-    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
-    ExpectBitIdentical(reference[i++], r.value(),
-                       std::string(q) + " over 2 shard lanes");
-  }
 }
 
 // The partitioned trie build (engaged above ~16k rows regardless of pool
@@ -592,6 +579,53 @@ TEST(NestedParallelismStressTest, ParallelChunksInsideTaskRunsInline) {
   }
   group.Wait();
   EXPECT_EQ(total.load(), 400);
+}
+
+// Region runners are not Submit tasks. A scan (TPC-H Q6) and a triangle
+// with no heavy root run entirely through ParallelChunks regions, so they
+// spawn and steal no tasks; pool.chunks counts exactly the regions'
+// cardinality-cut chunks (trie builds plus the chunk loop).
+TEST(PoolCounterTest, RegionRunnersAreNotCountedAsTasks) {
+  Catalog catalog;
+  ASSERT_TRUE(TpchGenerator(/*scale_factor=*/0.01).Populate(&catalog).ok());
+  Table* t =
+      catalog
+          .CreateTable(TableSchema(
+              "edge", {ColumnSpec::Key("src", ValueType::kInt64, "node"),
+                       ColumnSpec::Key("dst", ValueType::kInt64, "node")}))
+          .ValueOrDie();
+  Rng rng(0xC0C0);
+  for (int i = 0; i < 4000; ++i) {
+    const int a = static_cast<int>(rng.Uniform(400));
+    const int b = static_cast<int>(rng.Uniform(400));
+    ASSERT_TRUE(t->AppendRow({Value::Int(a), Value::Int(b)}).ok());
+  }
+  ASSERT_TRUE(catalog.Finalize().ok());
+
+  struct Case {
+    std::string sql;
+    uint64_t chunks;
+  };
+  const std::vector<Case> cases = {
+      {TpchQuery("q6"), 30},
+      {"SELECT count(*) FROM edge e1, edge e2, edge e3 "
+       "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src",
+       84},
+  };
+  ThreadPool::SetGlobalThreadsForTesting(4);
+  {
+    Engine engine(&catalog);  // cold trie cache: the builds are counted
+    for (const Case& c : cases) {
+      auto r = engine.QueryAnalyze(c.sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const obs::StatsSnapshot& s = r.value().profile->counters;
+      EXPECT_EQ(s.pool_tasks_spawned, 0u) << c.sql;
+      EXPECT_EQ(s.pool_task_steals, 0u) << c.sql;
+      EXPECT_EQ(s.exec_skew_splits, 0u) << c.sql;
+      EXPECT_EQ(s.thread_pool_chunks, c.chunks) << c.sql;
+    }
+  }
+  ThreadPool::SetGlobalThreadsForTesting(0);
 }
 
 }  // namespace

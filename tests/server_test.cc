@@ -21,7 +21,6 @@
 #include "obs/json_writer.h"
 #include "server/protocol.h"
 #include "server/server.h"
-#include "shard/sharded_engine.h"
 #include "util/rng.h"
 #include "util/socket.h"
 
@@ -198,22 +197,11 @@ class ServerTest : public ::testing::Test {
                       .ok());
     }
     ASSERT_TRUE(catalog_.Finalize().ok());
-    // With LH_SHARDS set (the CI release leg reruns tier-1 at LH_SHARDS=2)
-    // the whole suite serves through the scatter-gather backend instead of
-    // a plain engine — same wire behavior, bit-identical results.
-    const int shards = shard::ShardedEngine::ResolveNumShards(0);
-    if (shards > 1) {
-      shard::ShardedEngineOptions shard_options;
-      shard_options.num_shards = shards;
-      engine_ = std::make_unique<shard::ShardedEngine>(&catalog_,
-                                                       shard_options);
-    } else {
-      engine_ = std::make_unique<Engine>(&catalog_);
-    }
+    engine_ = std::make_unique<Engine>(&catalog_);
   }
 
   Catalog catalog_;
-  std::unique_ptr<QueryBackend> engine_;
+  std::unique_ptr<Engine> engine_;
 };
 
 TEST_F(ServerTest, StartStopIdempotent) {

@@ -4,7 +4,7 @@
 //   lh_serve: listening on 127.0.0.1:8437 (4 workers, queue 16)
 //
 // Loads a catalog from one or more text schema files (see
-// storage/schema_file.h; several files — e.g. per-shard data partitions —
+// storage/schema_file.h; several files — e.g. one per data partition —
 // share one catalog and one dictionary set) or a .lhsnap snapshot, then
 // serves newline-delimited JSON queries until SIGINT/SIGTERM triggers a
 // graceful drain. Caps result sets at 4M rows by
@@ -26,10 +26,6 @@
 //                           engine-lifetime exec.* metrics and slow-log
 //                           span/cache attribution; shaves the per-query
 //                           counter bookkeeping)
-//   --shards N              serve through N scatter-gather engine lanes
-//                           (src/shard; default 1 = plain engine; 0 reads
-//                           LH_SHARDS). Results are bit-identical at any
-//                           shard count.
 
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +37,6 @@
 
 #include "core/engine.h"
 #include "server/server.h"
-#include "shard/sharded_engine.h"
 #include "storage/schema_file.h"
 #include "storage/snapshot.h"
 #include "util/signals.h"
@@ -58,7 +53,7 @@ int Usage(const char* argv0) {
                "       [--default-timeout-ms X] [--max-rows N] "
                "[--drain-ms X]\n"
                "       [--metrics-port N] [--slow-query-ms X] "
-               "[--no-request-stats] [--shards N]\n",
+               "[--no-request-stats]\n",
                argv0);
   return 2;
 }
@@ -70,7 +65,6 @@ int Serve(int argc, char** argv) {
   server_options.collect_request_stats = true;
   size_t max_result_rows = kDefaultMaxResultRows;
   double slow_query_ms = 1000;
-  int num_shards = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -111,10 +105,6 @@ int Serve(int argc, char** argv) {
       slow_query_ms = std::atof(v);
     } else if (arg == "--no-request-stats") {
       server_options.collect_request_stats = false;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      num_shards = std::atoi(v);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return Usage(argv[0]);
@@ -137,9 +127,9 @@ int Serve(int argc, char** argv) {
     owned = loaded.TakeValue();
     catalog = owned.get();
   } else {
-    // Several schema files — e.g. one per data partition in a sharded
-    // deployment — parse independently but declare tables and load rows
-    // into ONE catalog: key columns encode through the shared domain
+    // Several schema files — e.g. one per data partition — parse
+    // independently but declare tables and load rows into ONE catalog:
+    // key columns encode through the shared domain
     // dictionaries, so partitions never duplicate dictionary memory.
     for (const std::string& path : data_paths) {
       auto spec = ParseSchemaFile(path);
@@ -167,19 +157,7 @@ int Serve(int argc, char** argv) {
   EngineOptions engine_options;
   engine_options.max_result_rows = max_result_rows;
   engine_options.slow_query_ms = slow_query_ms;
-  // One backend for the server: a plain engine, or — with --shards N > 1
-  // (or LH_SHARDS when N is 0) — the scatter-gather router over N engine
-  // lanes sharing this catalog's dictionaries.
-  num_shards = shard::ShardedEngine::ResolveNumShards(num_shards);
-  std::unique_ptr<QueryBackend> backend;
-  if (num_shards > 1) {
-    shard::ShardedEngineOptions shard_options;
-    shard_options.num_shards = num_shards;
-    shard_options.engine = engine_options;
-    backend = std::make_unique<shard::ShardedEngine>(catalog, shard_options);
-  } else {
-    backend = std::make_unique<Engine>(catalog, engine_options);
-  }
+  Engine engine(catalog, engine_options);
 
   Status st = InstallShutdownSignalHandlers();
   if (!st.ok()) {
@@ -187,17 +165,17 @@ int Serve(int argc, char** argv) {
     return 1;
   }
 
-  server::Server server(backend.get(), server_options);
+  server::Server server(&engine, server_options);
   st = server.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "start error: %s\n", st.ToString().c_str());
     return 1;
   }
   std::printf("lh_serve: listening on 127.0.0.1:%u (%d workers, queue %zu, "
-              "max %zu result rows, %d shard%s)\n",
+              "max %zu result rows)\n",
               static_cast<unsigned>(server.port()),
               server_options.num_workers, server_options.queue_capacity,
-              max_result_rows, num_shards, num_shards == 1 ? "" : "s");
+              max_result_rows);
   if (server_options.metrics_port >= 0) {
     std::printf("lh_serve: metrics on http://127.0.0.1:%u/metrics\n",
                 static_cast<unsigned>(server.metrics_port()));
@@ -212,7 +190,7 @@ int Serve(int argc, char** argv) {
 
   // Slow queries survive the shutdown as one grep-able JSON line each.
   const std::vector<obs::SlowQueryRecord> slow =
-      backend->slow_query_log()->Snapshot();
+      engine.slow_query_log()->Snapshot();
   for (const obs::SlowQueryRecord& record : slow) {
     std::printf("lh_serve: slow-query %s\n", record.ToJsonLine().c_str());
   }
@@ -230,7 +208,7 @@ int Serve(int argc, char** argv) {
               stats.latency_ms_p50, stats.latency_ms_p99,
               stats.latency_ms_max,
               static_cast<unsigned long long>(
-                  backend->slow_query_log()->total_recorded()));
+                  engine.slow_query_log()->total_recorded()));
   return 0;
 }
 
