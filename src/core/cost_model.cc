@@ -151,29 +151,4 @@ std::vector<OrderCandidate> EnumerateAttributeOrders(
   return out;
 }
 
-bool ChooseLazyBuild(const CostModelInput& input, int rel_idx,
-                     int first_vertex) {
-  if (rel_idx < 0 || rel_idx >= static_cast<int>(input.relations.size())) {
-    return false;
-  }
-  const CostRelation& rel = input.relations[rel_idx];
-  // A lazy build only pays off when there are deeper levels to defer, and a
-  // dense trie's annotation buffers are consumed wholesale by the BLAS-style
-  // kernels (no per-set probes to materialize through).
-  if (rel.vertices.size() < 2 || rel.completely_dense) return false;
-  // Who else intersects at this relation's first trie level? If the driving
-  // partner is filtered or much smaller, most of `rel`'s root elements lose
-  // the intersection and their subtries are never descended into — the
-  // triangle query's symmetric, unfiltered relations fail both tests and
-  // keep fully eager builds (preserving the pure WCOJ profile).
-  for (int i = 0; i < static_cast<int>(input.relations.size()); ++i) {
-    if (i == rel_idx) continue;
-    const CostRelation& other = input.relations[i];
-    if (!other.Covers(first_vertex)) continue;
-    if (other.filtered) return true;
-    if (other.cardinality * 2 <= rel.cardinality) return true;
-  }
-  return false;
-}
-
 }  // namespace levelheaded

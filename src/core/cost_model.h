@@ -28,9 +28,6 @@ struct CostRelation {
   /// Completely dense relations skip intersections entirely: icost 0
   /// (§V-A1, "essential to estimate the cost of LA queries properly").
   bool completely_dense = false;
-  /// Relation carries a selection predicate — its trie build already runs
-  /// inside the measured query, and it prunes its join partners' probes.
-  bool filtered = false;
 
   bool Covers(int v) const {
     for (int x : vertices) {
@@ -84,18 +81,6 @@ double OrderCost(const CostModelInput& input, const std::vector<int>& order);
 /// lexicographic).
 std::vector<OrderCandidate> EnumerateAttributeOrders(
     const CostModelInput& input, bool allow_relaxation);
-
-/// Hybrid build-vs-probe choice (DESIGN.md §16): true when relation
-/// `rel_idx`'s trie should build lazily — level 0 eager, deeper levels
-/// materializing per set on first probe — because the intersections at its
-/// first trie vertex `first_vertex` are predicted to prune most subtries
-/// before they are ever descended into. That holds when some other relation
-/// covering that vertex is filtered (selection pushdown shrinks the probed
-/// key range by an unknown, often large factor) or has at most half this
-/// relation's cardinality (the binary-join asymmetry: the small side drives).
-/// Dense relations and single-level tries never build lazily.
-bool ChooseLazyBuild(const CostModelInput& input, int rel_idx,
-                     int first_vertex);
 
 }  // namespace levelheaded
 

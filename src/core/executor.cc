@@ -129,7 +129,7 @@ ColumnSource AnnotationColumn(const AnnotationBuffer& buf) {
 Result<BuiltRelation> BuildRelationTrie(
     const PhysicalPlan& plan, const Catalog& catalog, int rel,
     const std::vector<int>& level_cols, int num_query_levels,
-    bool attach_aggregates, int eager_levels, TrieCache* cache,
+    bool attach_aggregates, TrieCache* cache,
     QueryResult::Timing* timing, obs::QueryObs* qobs) {
   obs::TraceSpan span(qobs != nullptr ? &qobs->trace : nullptr, "trie_build");
   BuiltRelation out;
@@ -147,28 +147,26 @@ Result<BuiltRelation> BuildRelationTrie(
     signature += "|k" + std::to_string(c);
   }
 
-  // Computed per-row aggregate arguments are shared-owned: a lazy build
-  // reads annotation sources at materialization time, long after this
-  // function returns, so the trie must keep them alive (TrieAnnotationSpec::
-  // owned_reals). Borrowed table columns need no ownership — the catalog
-  // outlives every trie built over it.
-  std::vector<std::shared_ptr<std::vector<double>>> computed;
+  // Per-row aggregate arguments are computed inside build_trie below, so a
+  // cache hit never evaluates them; the signature needs only their text.
+  // `computed` is reserved up front so the annotation specs' pointers into
+  // it stay valid.
+  std::vector<const Expr*> computed_args;
+  std::vector<std::vector<double>> computed;
+  computed.reserve(plan.aggs.size());
   out.agg_annot.assign(plan.aggs.size(), -1);
   if (attach_aggregates) {
     for (size_t i = 0; i < plan.aggs.size(); ++i) {
       const AggExec& agg = plan.aggs[i];
       if (agg.single_rel != rel || agg.arg == nullptr) continue;
       if (agg.func == AggFunc::kCount) continue;
-      LH_ASSIGN_OR_RETURN(std::vector<double> values,
-                          ComputeRowExpr(*agg.arg, *ref.table));
-      computed.push_back(
-          std::make_shared<std::vector<double>>(std::move(values)));
+      computed_args.push_back(agg.arg);
+      computed.emplace_back();
       TrieAnnotationSpec ann;
       ann.name = agg.annot_name;
       ann.type = ValueType::kDouble;
       ann.merge = MergeForAgg(agg.func);
-      ann.reals = computed.back().get();
-      ann.owned_reals = computed.back();
+      ann.reals = &computed.back();
       spec.annotations.push_back(ann);
       out.annot_merge.push_back(ann.merge);
       out.agg_annot[i] = static_cast<int>(spec.annotations.size()) - 1;
@@ -200,7 +198,6 @@ Result<BuiltRelation> BuildRelationTrie(
 
   spec.add_count_annotation = true;
   spec.verify_first_unique = true;
-  spec.eager_levels = eager_levels;
   out.count_annot = static_cast<int>(spec.annotations.size());
   out.annot_merge.push_back(AnnotationMerge::kSum);
 
@@ -218,6 +215,10 @@ Result<BuiltRelation> BuildRelationTrie(
   }
 
   auto build_trie = [&]() -> Result<TrieCache::Built> {
+    for (size_t k = 0; k < computed_args.size(); ++k) {
+      LH_ASSIGN_OR_RETURN(computed[k],
+                          ComputeRowExpr(*computed_args[k], *ref.table));
+    }
     std::string final_signature = signature;
     Result<Trie> built = Trie::Build(spec);
     std::vector<uint32_t> rowid;
@@ -236,10 +237,6 @@ Result<BuiltRelation> BuildRelationTrie(
       retry.domain_sizes.resize(num_query_levels);
       retry.key_codes.push_back(&rowid);
       retry.domain_sizes.push_back(static_cast<uint32_t>(rowid.size()));
-      // The surrogate rowid column lives on this lambda's stack; a lazy
-      // build would dangle on it, and the retry trie's deep annotations are
-      // range-aggregated through first_leaf without per-set probes anyway.
-      retry.eager_levels = -1;
       final_signature += "|rowid";
       built = Trie::Build(retry);
     }
@@ -258,19 +255,6 @@ Result<BuiltRelation> BuildRelationTrie(
     LH_ASSIGN_OR_RETURN(
         out.trie, cache->GetOrBuild({signature, signature + "|rowid"},
                                     build_trie, &how));
-    if (out.trie->lazy_levels() > 0 &&
-        num_query_levels < out.trie->num_levels()) {
-      // A lazily built trie cached by a deeper query is unusable here: this
-      // query treats levels >= num_query_levels as unjoined extras whose
-      // annotations are range-aggregated through first_leaf without per-set
-      // probes, so nothing would trigger their materialization. Build a
-      // private eager trie instead of poisoning the shared entry.
-      TrieBuildSpec eager = spec;
-      eager.eager_levels = -1;
-      LH_ASSIGN_OR_RETURN(Trie rebuilt, Trie::Build(eager));
-      out.trie = std::make_shared<Trie>(std::move(rebuilt));
-      how = TrieCache::Outcome::kBuilt;
-    }
   } else {
     LH_ASSIGN_OR_RETURN(TrieCache::Built built, build_trie());
     out.trie = std::move(built.trie);
@@ -289,7 +273,7 @@ Result<BuiltRelation> BuildRelationTrie(
   // num_tuples() (the deepest level) was wrong for rowid-retry and
   // ablation-extras tries: the surrogate/extra levels make every base row a
   // distinct leaf, so the old test was trivially true even when the queried
-  // prefix duplicates. The rank skeleton makes this exact on lazy tries too.
+  // prefix duplicates.
   out.unique_keys =
       out.trie->level(num_query_levels - 1).num_elements() ==
       (filtered ? selection.size() : ref.table->num_rows());
@@ -311,8 +295,7 @@ struct Participant {
   int slot;       // relation slot (non-child) or child index (child)
   int level;      // trie level bound at this attribute position
   bool is_child;  // child-node result set
-  // TrieLevel::full_size() of an eager full level, else 0. Lazy levels
-  // count as sparse: set() is what materializes their payload.
+  // TrieLevel::full_size() of a full level, else 0.
   uint32_t full_size = 0;
   const TrieLevel* trie_level = nullptr;  // the bound level (non-child)
 };
@@ -347,7 +330,7 @@ class NodeExec {
           const TrieLevel& level = rels_[s]->trie->level(static_cast<int>(l));
           participants_[PosOf(rp.levels_vertex[l])].push_back(
               {static_cast<int>(s), static_cast<int>(l), false,
-               level.is_lazy() ? 0 : level.full_size(), &level});
+               level.full_size(), &level});
         }
       } else {
         participants_[PosOf(rp.levels_vertex[0])].push_back(
@@ -1859,14 +1842,12 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
   LH_ASSIGN_OR_RETURN(
       BuiltRelation a,
       BuildRelationTrie(plan, catalog, rp_a->rel, cols_a, 2,
-                        /*attach_aggregates=*/false, /*eager_levels=*/-1,
-                        cache, timing, qobs));
+                        /*attach_aggregates=*/false, cache, timing, qobs));
   LH_ASSIGN_OR_RETURN(
       BuiltRelation b,
       BuildRelationTrie(plan, catalog, rp_b->rel, cols_b,
                         static_cast<int>(cols_b.size()),
-                        /*attach_aggregates=*/false, /*eager_levels=*/-1,
-                        cache, timing, qobs));
+                        /*attach_aggregates=*/false, cache, timing, qobs));
 
   // The aggregate argument is colref(A.v) * colref(B.v); fetch each side's
   // annotation buffer (leaf order == row-major dense layout).
@@ -1996,8 +1977,8 @@ struct JoinState {
             BuiltRelation br,
             BuildRelationTrie(plan, catalog, rp.rel, level_cols,
                               static_cast<int>(rp.levels_col.size()),
-                              /*attach_aggregates=*/true, rp.eager_levels,
-                              cache, timing, qobs));
+                              /*attach_aggregates=*/true, cache, timing,
+                              qobs));
         built[ni].push_back(std::make_unique<BuiltRelation>(std::move(br)));
       }
     }
@@ -2013,8 +1994,8 @@ struct JoinState {
       LH_ASSIGN_OR_RETURN(
           BuiltRelation br,
           BuildRelationTrie(plan, catalog, lp.rel, {col}, 1,
-                            /*attach_aggregates=*/false, /*eager_levels=*/-1,
-                            cache, timing, qobs));
+                            /*attach_aggregates=*/false, cache, timing,
+                            qobs));
       lookup_built.push_back(std::make_unique<BuiltRelation>(std::move(br)));
       lookup_rel_ids.push_back(lp.rel);
       int pos = -1;

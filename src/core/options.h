@@ -53,13 +53,6 @@ struct QueryOptions {
   /// their tries inside the measured query.
   bool use_trie_cache = true;
 
-  /// Let the planner choose lazy trie builds (DESIGN.md §16): deep levels of
-  /// a relation's trie defer per-set payload emission until first probe when
-  /// the cost model predicts the join touches only a fraction of them. Off
-  /// forces every trie fully eager — the comparison arm for bench/lazy_build
-  /// and a bisection switch; results are identical either way.
-  bool use_lazy_tries = true;
-
   /// Collect an execution profile (tracing spans + kernel counters) into
   /// QueryResult::profile. Off by default: enabling it turns on per-kernel
   /// counting in the hot intersection loops.

@@ -59,11 +59,6 @@ struct RelationPlan {
   /// appended as extra (unjoined) trie levels.
   std::vector<int> extra_level_cols;
   bool filtered = false;
-  /// Trie levels to build eagerly; -1 = all (see TrieBuildSpec). The cost
-  /// model sets 1 when the join is predicted to probe only a fraction of
-  /// this relation's subtries (DESIGN.md §16), deferring deeper payload
-  /// emission to first probe.
-  int eager_levels = -1;
 };
 
 /// A relation consulted only for annotation lookups at the root (e.g. Q5's

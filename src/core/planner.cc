@@ -254,7 +254,6 @@ Result<PhysicalPlan> BuildPlan(LogicalQuery query, const Catalog& catalog,
         }
         cr.cardinality = rel.table->num_rows();
         cr.completely_dense = RelationIsDense(rel, catalog, cols);
-        cr.filtered = rp.filtered;
       } else {
         // Child result: a unary relation on the interface vertex. Its
         // cardinality is bounded by the smallest relation in the child.
@@ -338,8 +337,7 @@ Result<PhysicalPlan> BuildPlan(LogicalQuery query, const Catalog& catalog,
       }
       return -1;
     };
-    for (size_t r = 0; r < np.relations.size(); ++r) {
-      RelationPlan& rp = np.relations[r];
+    for (RelationPlan& rp : np.relations) {
       if (rp.rel < 0) continue;  // child results stay unary
       const RelationRef& rel = q.relations[rp.rel];
       std::vector<std::pair<int, int>> ordered;  // (position, vertex)
@@ -363,16 +361,6 @@ Result<PhysicalPlan> BuildPlan(LogicalQuery query, const Catalog& catalog,
             rp.extra_level_cols.push_back(static_cast<int>(c));
           }
         }
-      }
-      // Hybrid build-vs-probe choice (DESIGN.md §16): np.relations and
-      // input.relations were filled in the same order, so index `r` lines
-      // up. Extra (unjoined) levels keep the build eager — their payloads
-      // feed range aggregation wholesale, never through per-set probes.
-      if (options.use_lazy_tries && rp.extra_level_cols.empty() &&
-          rp.levels_vertex.size() >= 2 &&
-          ChooseLazyBuild(input, static_cast<int>(r),
-                          local_of(rp.levels_vertex[0]))) {
-        rp.eager_levels = 1;
       }
     }
   }

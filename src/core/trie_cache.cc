@@ -39,19 +39,6 @@ std::shared_ptr<Trie> TrieCache::Probe(const std::string& signature) {
   // Relaxed (both ops): the stamp is an LRU recency hint — a racing reader
   // that publishes a slightly stale tick only perturbs the eviction order.
   it->second->stamp.store(tick_.fetch_add(1, kRelaxed) + 1, kRelaxed);
-  // Resample the trie's footprint: lazy tries grow as probes materialize
-  // their sets (DESIGN.md §16), and this hit is exactly such a probe. The
-  // exchange gives each concurrent resampler a distinct before-value, so
-  // the deltas telescope and bytes_ tracks the true total.
-  // Relaxed (all ops): pure accounting — the budget check in EnforceBudget
-  // tolerates momentarily stale totals; no data is published through these.
-  const size_t now_bytes = it->second->trie->MemoryBytes();
-  const size_t prev_bytes = it->second->bytes.exchange(now_bytes, kRelaxed);
-  if (now_bytes >= prev_bytes) {
-    bytes_.fetch_add(now_bytes - prev_bytes, kRelaxed);
-  } else {
-    bytes_.fetch_sub(prev_bytes - now_bytes, kRelaxed);
-  }
   return it->second->trie;
 }
 
@@ -78,12 +65,12 @@ void TrieCache::Put(const std::string& signature, std::shared_ptr<Trie> trie) {
     WriteLock lock(&shard.mu);
     auto it = shard.map.find(signature);
     if (it != shard.map.end()) {
-      bytes_.fetch_sub(it->second->bytes.load(kRelaxed), kRelaxed);
+      bytes_.fetch_sub(it->second->bytes, kRelaxed);
       shard.map.erase(it);
     }
     auto entry = std::make_unique<Entry>();
     entry->trie = std::move(trie);
-    entry->bytes.store(entry_bytes, kRelaxed);
+    entry->bytes = entry_bytes;
     entry->stamp.store(tick_.fetch_add(1, kRelaxed) + 1,
                        kRelaxed);
     shard.map.emplace(signature, std::move(entry));
@@ -132,7 +119,7 @@ void TrieCache::EnforceBudget() {
       // while we hold it exclusively.
       if (it != shard.map.end() && it->second->trie.use_count() == 1 &&
           it->second->stamp.load(kRelaxed) == best_stamp) {
-        bytes_.fetch_sub(it->second->bytes.load(kRelaxed), kRelaxed);
+        bytes_.fetch_sub(it->second->bytes, kRelaxed);
         shard.map.erase(it);
         evictions_.fetch_add(1, kRelaxed);
         if (obs::ExecStats* stats = obs::ActiveStats()) {
@@ -258,7 +245,7 @@ void TrieCache::Clear() {
   for (auto& shard : shards_) {
     WriteLock lock(&shard->mu);
     for (const auto& [sig, entry] : shard->map) {
-      bytes_.fetch_sub(entry->bytes.load(kRelaxed), kRelaxed);
+      bytes_.fetch_sub(entry->bytes, kRelaxed);
     }
     shard->map.clear();
   }

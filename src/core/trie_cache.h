@@ -130,13 +130,9 @@ class TrieCache {
 
   struct Entry {
     std::shared_ptr<Trie> trie;
-    /// Bytes currently charged against the budget for this entry. Atomic
-    /// because lazy tries grow as their sets materialize (DESIGN.md §16):
-    /// every Probe under the shard's *shared* lock resamples
-    /// Trie::MemoryBytes() and delta-adjusts the global tally, so a
-    /// partially built trie's footprint converges on its true size while
-    /// queries are still probing it.
-    std::atomic<size_t> bytes{0};
+    /// Bytes charged against the budget for this entry: the trie's
+    /// MemoryBytes(), taken once in Put (a built trie never grows).
+    size_t bytes = 0;
     /// Last-touch tick for LRU ordering; updated under the shard's shared
     /// lock, hence atomic.
     std::atomic<uint64_t> stamp{0};

@@ -33,10 +33,6 @@ StatsSnapshot ExecStats::Snapshot() const {
   s.trie_cache_misses = trie_cache_misses_.load(kRelaxed);
   s.trie_cache_probes = trie_cache_probes_.load(kRelaxed);
   s.tries_built = tries_built_.load(kRelaxed);
-  s.trie_lazy_levels = trie_lazy_levels_.load(kRelaxed);
-  s.trie_materialized_subtries =
-      trie_materialized_subtries_.load(kRelaxed);
-  s.trie_lazy_bytes = trie_lazy_bytes_.load(kRelaxed);
   s.cache_bytes = cache_bytes_.load(kRelaxed);
   s.cache_evictions = cache_evictions_.load(kRelaxed);
   s.cache_build_waits = cache_build_waits_.load(kRelaxed);
@@ -62,9 +58,6 @@ void ExecStats::Reset() {
   trie_cache_misses_.store(0, kRelaxed);
   trie_cache_probes_.store(0, kRelaxed);
   tries_built_.store(0, kRelaxed);
-  trie_lazy_levels_.store(0, kRelaxed);
-  trie_materialized_subtries_.store(0, kRelaxed);
-  trie_lazy_bytes_.store(0, kRelaxed);
   cache_bytes_.store(0, kRelaxed);
   cache_evictions_.store(0, kRelaxed);
   cache_build_waits_.store(0, kRelaxed);
@@ -96,10 +89,6 @@ void ExecStats::Add(const StatsSnapshot& s) {
   trie_cache_probes_.fetch_add(s.trie_cache_probes,
                                kRelaxed);
   tries_built_.fetch_add(s.tries_built, kRelaxed);
-  trie_lazy_levels_.fetch_add(s.trie_lazy_levels, kRelaxed);
-  trie_materialized_subtries_.fetch_add(s.trie_materialized_subtries,
-                                        kRelaxed);
-  trie_lazy_bytes_.fetch_add(s.trie_lazy_bytes, kRelaxed);
   cache_bytes_.store(s.cache_bytes, kRelaxed);
   cache_evictions_.fetch_add(s.cache_evictions, kRelaxed);
   cache_build_waits_.fetch_add(s.cache_build_waits,
@@ -131,9 +120,6 @@ std::vector<std::pair<std::string, uint64_t>> StatsSnapshot::Items() const {
       {"trie.cache_misses", trie_cache_misses},
       {"trie.cache_probes", trie_cache_probes},
       {"trie.built", tries_built},
-      {"trie.lazy_levels", trie_lazy_levels},
-      {"trie.materialized_subtries", trie_materialized_subtries},
-      {"trie.lazy_bytes", trie_lazy_bytes},
       {"cache.bytes", cache_bytes},
       {"cache.evictions", cache_evictions},
       {"cache.build_waits", cache_build_waits},

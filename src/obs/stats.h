@@ -54,13 +54,9 @@ struct StatsSnapshot {
   /// "|rowid"-widened), so probes >= hits + misses.
   uint64_t trie_cache_probes = 0;
   uint64_t tries_built = 0;
-  /// Trie levels whose payloads were deferred to first probe by lazy
-  /// builds this query started (DESIGN.md §16).
-  uint64_t trie_lazy_levels = 0;
-  /// Lazily deferred sets (subtries) this query materialized on first
-  /// probe, including fills of the annotation entries attached there.
+  /// Always 0 (every trie is built in full); kept because the perfbench
+  /// harness still reports them. Not in Items().
   uint64_t trie_materialized_subtries = 0;
-  /// Payload bytes those materializations produced.
   uint64_t trie_lazy_bytes = 0;
   /// Trie-cache resident bytes after the query (gauge, not a counter).
   uint64_t cache_bytes = 0;
@@ -139,15 +135,6 @@ class ExecStats {
     trie_cache_probes_.fetch_add(n, kRelaxed);
   }
   void CountTrieBuilt() { tries_built_.fetch_add(1, kRelaxed); }
-  void CountLazyLevels(uint64_t n) {
-    trie_lazy_levels_.fetch_add(n, kRelaxed);
-  }
-  void CountMaterializedSubtries(uint64_t n = 1) {
-    trie_materialized_subtries_.fetch_add(n, kRelaxed);
-  }
-  void CountLazyBytes(uint64_t n) {
-    trie_lazy_bytes_.fetch_add(n, kRelaxed);
-  }
   void SetCacheBytes(uint64_t bytes) {
     cache_bytes_.store(bytes, kRelaxed);
   }
@@ -204,9 +191,6 @@ class ExecStats {
   std::atomic<uint64_t> trie_cache_misses_{0};
   std::atomic<uint64_t> trie_cache_probes_{0};
   std::atomic<uint64_t> tries_built_{0};
-  std::atomic<uint64_t> trie_lazy_levels_{0};
-  std::atomic<uint64_t> trie_materialized_subtries_{0};
-  std::atomic<uint64_t> trie_lazy_bytes_{0};
   std::atomic<uint64_t> cache_bytes_{0};
   std::atomic<uint64_t> cache_evictions_{0};
   std::atomic<uint64_t> cache_build_waits_{0};

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include <array>
@@ -184,288 +182,7 @@ bool PackedRadixSortRows(std::vector<uint32_t>* rows,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Deferred (lazy) materialization state — DESIGN.md §16.
-//
-// Build() always computes the full *rank skeleton*: the sorted row
-// permutation, per-level element starts, per-set base ranks, the first-leaf
-// index, and exact element counts. Global ranks, num_tuples() and the
-// verify_first_unique check are therefore identical to an eager build. What
-// a lazy level defers, per set, is the payload (uint/bitset emission) and
-// the annotation entries attached at that level for the set's global rank
-// range. Both materialize together, once per set, on first probe:
-//
-//   nullptr --CAS--> kBuilding(1) --release-store--> MaterializedSet*
-//
-// The CAS winner emits the set from the sorted rows and fills its
-// annotation entries; losers spin-yield on an acquire load. Readers only
-// learn an element's rank from the published set view, so the
-// acquire/release pair on the slot also orders every annotation entry that
-// rank can index — the executor needs no read-side changes.
-// ---------------------------------------------------------------------------
-
-class TrieLazyState {
- public:
-  struct MaterializedSet {
-    TrieLevel::SetDesc desc;
-    std::vector<uint32_t> uint_values;
-    std::vector<uint64_t> words;
-    std::vector<uint32_t> word_ranks;
-
-    size_t HeapBytes() const {
-      return sizeof(MaterializedSet) +
-             uint_values.capacity() * sizeof(uint32_t) +
-             words.capacity() * sizeof(uint64_t) +
-             word_ranks.capacity() * sizeof(uint32_t);
-    }
-  };
-
-  /// One deferred annotation fill: entry j of the target buffer (global
-  /// element rank j of `level`) is computed from the sorted rows of
-  /// element j when the set containing that element materializes.
-  struct Fill {
-    AnnotationMerge merge = AnnotationMerge::kSum;
-    int level = 0;
-    bool is_count = false;
-    const int64_t* src_ints = nullptr;
-    const double* src_reals = nullptr;
-    const uint32_t* src_codes = nullptr;
-    double* dst_reals = nullptr;
-    int64_t* dst_ints = nullptr;
-    uint32_t* dst_codes = nullptr;
-  };
-
-  struct LevelSlots {
-    std::unique_ptr<std::atomic<MaterializedSet*>[]> slots;
-    uint32_t num_sets = 0;
-  };
-
-  ~TrieLazyState() {
-    for (LevelSlots& ls : slots_) {
-      for (uint32_t s = 0; s < ls.num_sets; ++s) {
-        // Acquire pairs with the builder's release publish so the payload
-        // vectors are fully constructed before the destructor frees them.
-        MaterializedSet* m = ls.slots[s].load(std::memory_order_acquire);
-        if (IsReal(m)) std::unique_ptr<MaterializedSet> reclaim(m);
-      }
-    }
-  }
-
-  /// Set view for `set_idx` of a lazy `level`, materializing on first call.
-  SetView SetOf(const TrieLevel& level, uint32_t set_idx);
-
-  /// Bytes of retained build state (rows, element starts, slot arrays) —
-  /// the fixed cost of keeping a trie lazily materializable.
-  size_t RetainedBytes() const {
-    size_t total = sizeof(TrieLazyState);
-    total += rows_.capacity() * sizeof(uint32_t);
-    for (const std::vector<uint32_t>& e : elem_starts_) {
-      total += e.capacity() * sizeof(uint32_t);
-    }
-    for (const LevelSlots& ls : slots_) {
-      total += ls.num_sets * sizeof(std::atomic<MaterializedSet*>);
-    }
-    total += fills_.capacity() * sizeof(Fill);
-    return total;
-  }
-
-  uint64_t materialized_bytes() const {
-    // Relaxed: a monotone byte tally for cache accounting; a read that
-    // trails an in-flight materialization only under-reports until the
-    // next resample. Payloads are published through the slot stores.
-    return materialized_bytes_.load(std::memory_order_relaxed);
-  }
-
-  uint64_t materialized_sets() const {
-    // Relaxed: diagnostic monotone tally; nothing is published through it.
-    return materialized_sets_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class Trie;
-
-  static bool IsReal(const MaterializedSet* m) {
-    return reinterpret_cast<uintptr_t>(m) > 1;
-  }
-  static MaterializedSet* Building() {
-    return reinterpret_cast<MaterializedSet*>(uintptr_t{1});
-  }
-  static SetView View(const MaterializedSet& m) {
-    SetView v;
-    v.layout = m.desc.layout;
-    v.cardinality = m.desc.cardinality;
-    if (m.desc.layout == SetLayout::kUint) {
-      v.values = m.uint_values.data();
-    } else {
-      v.words = m.words.data();
-      v.word_ranks = m.word_ranks.data();
-      v.word_base = m.desc.word_base;
-      v.num_words = m.desc.num_words;
-    }
-    return v;
-  }
-
-  std::unique_ptr<MaterializedSet> Materialize(const TrieLevel& level,
-                                               uint32_t set_idx);
-
-  int first_lazy_ = 0;
-  std::vector<uint32_t> rows_;                     // sorted row permutation
-  std::vector<const uint32_t*> key_codes_;         // per level, borrowed
-  std::vector<std::vector<uint32_t>> elem_starts_;  // lazy levels only
-  std::vector<Fill> fills_;
-  /// Keeps computed annotation sources alive for the trie's lifetime
-  /// (TrieAnnotationSpec::owned_reals).
-  std::vector<std::shared_ptr<const std::vector<double>>> owned_sources_;
-  std::vector<LevelSlots> slots_;  // index: level - first_lazy_
-  std::atomic<uint64_t> materialized_sets_{0};
-  std::atomic<uint64_t> materialized_bytes_{0};
-};
-
-SetView TrieLazyState::SetOf(const TrieLevel& level, uint32_t set_idx) {
-  LevelSlots& ls = slots_[level.level_index_ - first_lazy_];
-  LH_DCHECK_BOUNDS(set_idx, ls.num_sets);
-  std::atomic<MaterializedSet*>& slot = ls.slots[set_idx];
-  // Acquire pairs with the publishing release store below: it orders the
-  // payload and every annotation entry of the set's rank range before any
-  // use of a rank learned from this view.
-  MaterializedSet* m = slot.load(std::memory_order_acquire);
-  if (IsReal(m)) return View(*m);
-  if (m == nullptr) {
-    MaterializedSet* expected = nullptr;
-    // The CAS winner is this set's single builder (the PR-4 single-flight
-    // discipline at per-set granularity). Acquire on failure: the slot may
-    // already hold another thread's published set.
-    if (slot.compare_exchange_strong(expected, Building(),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      MaterializedSet* built = Materialize(level, set_idx).release();
-      // Release-publish the payload and annotation entries to every reader
-      // that acquires this slot.
-      slot.store(built, std::memory_order_release);
-      return View(*built);
-    }
-    m = expected;
-    if (IsReal(m)) return View(*m);
-  }
-  // Another thread is building this set; spin-yield until it publishes.
-  do {
-    std::this_thread::yield();
-    m = slot.load(std::memory_order_acquire);
-  } while (!IsReal(m));
-  return View(*m);
-}
-
-std::unique_ptr<TrieLazyState::MaterializedSet> TrieLazyState::Materialize(
-    const TrieLevel& level, uint32_t set_idx) {
-  const int l = level.level_index_;
-  const std::vector<uint32_t>& starts = elem_starts_[l];
-  const uint32_t b = level.set_base_[set_idx];
-  const uint32_t e = level.set_base_[set_idx + 1];
-  const uint32_t* kcl = key_codes_[l];
-
-  std::vector<uint32_t> vals(e - b);
-  for (uint32_t j = b; j < e; ++j) vals[j - b] = kcl[rows_[starts[j]]];
-
-  auto m = std::make_unique<MaterializedSet>();
-  {
-    // Reuse the eager emission path (layout choice, bitset build) against a
-    // scratch level, then steal its buffers: offsets are zero-based, and
-    // the payload bytes are identical to what the eager build would lay
-    // out for this set.
-    TrieLevel scratch;
-    std::vector<uint64_t> scratch_words;
-    std::vector<uint32_t> scratch_ranks;
-    Trie::EmitSet(vals, b, &m->desc, &scratch, &scratch_words,
-                  &scratch_ranks);
-    m->uint_values = std::move(scratch.uint_values_);
-    m->words = std::move(scratch.words_);
-    m->word_ranks = std::move(scratch.word_ranks_);
-  }
-
-  const auto range_end = [&](uint32_t j) {
-    return j + 1 < starts.size() ? starts[j + 1]
-                                 : static_cast<uint32_t>(rows_.size());
-  };
-  for (const Fill& f : fills_) {
-    if (f.level != l) continue;
-    for (uint32_t j = b; j < e; ++j) {
-      const uint32_t lo = starts[j];
-      const uint32_t hi = range_end(j);
-      if (f.is_count) {
-        f.dst_ints[j] = hi - lo;
-        continue;
-      }
-      if (f.merge == AnnotationMerge::kFirst) {
-        const uint32_t row = rows_[lo];
-        if (f.dst_ints != nullptr) {
-          f.dst_ints[j] = f.src_ints[row];
-        } else if (f.dst_codes != nullptr) {
-          f.dst_codes[j] = f.src_codes[row];
-        } else {
-          f.dst_reals[j] = f.src_reals[row];
-        }
-        continue;
-      }
-      const auto source_double = [&](uint32_t r) -> double {
-        if (f.src_reals != nullptr) return f.src_reals[r];
-        if (f.src_ints != nullptr) return static_cast<double>(f.src_ints[r]);
-        return static_cast<double>(f.src_codes[r]);
-      };
-      // Same fold order and initial value as the eager build, so lazy and
-      // eager annotation values are bit-identical.
-      double acc = f.merge == AnnotationMerge::kSum
-                       ? 0.0
-                       : source_double(rows_[lo]);
-      for (uint32_t i = lo; i < hi; ++i) {
-        const double v = source_double(rows_[i]);
-        switch (f.merge) {
-          case AnnotationMerge::kSum:
-            acc += v;
-            break;
-          case AnnotationMerge::kMin:
-            acc = TotalMin(acc, v);
-            break;
-          case AnnotationMerge::kMax:
-            acc = TotalMax(acc, v);
-            break;
-          case AnnotationMerge::kFirst:
-            break;
-        }
-      }
-      f.dst_reals[j] = acc;
-    }
-  }
-
-  const uint64_t bytes = m->HeapBytes();
-  // Relaxed: independent monotone tally for diagnostics and cache
-  // accounting; the payload itself is published through the slot store.
-  materialized_sets_.fetch_add(1, std::memory_order_relaxed);
-  // Relaxed: same rationale — a byte tally, nothing published through it.
-  materialized_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (obs::ExecStats* stats = obs::ActiveStats()) {
-    stats->CountMaterializedSubtries();
-    stats->CountLazyBytes(bytes);
-  }
-  return m;
-}
-
-Trie::Trie() = default;
-Trie::~Trie() = default;
-Trie::Trie(Trie&&) noexcept = default;
-Trie& Trie::operator=(Trie&&) noexcept = default;
-
-int Trie::lazy_levels() const {
-  return lazy_ == nullptr
-             ? 0
-             : static_cast<int>(levels_.size()) - lazy_->first_lazy_;
-}
-
-uint64_t Trie::materialized_sets() const {
-  return lazy_ == nullptr ? 0 : lazy_->materialized_sets();
-}
-
 SetView TrieLevel::set(uint32_t set_idx) const {
-  if (lazy_ != nullptr) return lazy_->SetOf(*this, set_idx);
   LH_DCHECK_BOUNDS(set_idx, sets_.size());
   const SetDesc& d = sets_[set_idx];
   SetView v;
@@ -511,13 +228,6 @@ size_t Trie::MemoryBytes() const {
     total += l.words_.size() * sizeof(uint64_t);
     total += l.word_ranks_.size() * sizeof(uint32_t);
     total += l.first_leaf_.size() * sizeof(uint32_t);
-    total += l.set_base_.size() * sizeof(uint32_t);
-  }
-  if (lazy_ != nullptr) {
-    // Retained build state plus payloads materialized so far — the cache
-    // resamples this on every probe to track a partial trie as it grows.
-    total += lazy_->RetainedBytes();
-    total += static_cast<size_t>(lazy_->materialized_bytes());
   }
   for (const AnnotationBuffer& a : annotations_) {
     total += a.reals.size() * sizeof(double) +
@@ -595,14 +305,6 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
     std::iota(rows.begin(), rows.end(), 0u);
   }
   const size_t n = rows.size();
-
-  // Depth of the eager build. Level 0 is always eager (the WCOJ root set is
-  // probed unconditionally), and empty builds gain nothing from deferral.
-  int eager = spec.eager_levels;
-  if (eager < 0 || eager > static_cast<int>(num_levels) || n == 0) {
-    eager = static_cast<int>(num_levels);
-  }
-  if (eager < 1) eager = 1;
 
   std::vector<const uint32_t*> kc(num_levels);
   for (size_t l = 0; l < num_levels; ++l) kc[l] = spec.key_codes[l]->data();
@@ -704,65 +406,9 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
     level->sets_.push_back(desc);
   };
 
-  // Lazy-level rank skeleton: element starts and per-set base ranks from
-  // dlev, with no payload emission. Chunk-parallel two-pass (count, then
-  // fill at prefix offsets); both per-row predicates depend only on dlev,
-  // so any chunking reproduces the sequential sweep exactly.
-  const auto build_lazy_skeleton = [&](size_t l, TrieLevel* level,
-                                       std::vector<uint32_t>* elems) {
-    const int64_t grain =
-        std::max<int64_t>(int64_t{1}, AdaptiveGrain(n, kMinSortRun));
-    const size_t num_chunks =
-        (n + static_cast<size_t>(grain) - 1) / static_cast<size_t>(grain);
-    std::vector<uint64_t> elems_before(num_chunks + 1, 0);
-    std::vector<uint64_t> sets_before(num_chunks + 1, 0);
-    pool.ParallelFor(0, static_cast<int64_t>(num_chunks), 1,
-                     [&](int, int64_t c) {
-                       const size_t lo =
-                           static_cast<size_t>(c) * static_cast<size_t>(grain);
-                       const size_t hi =
-                           std::min(n, lo + static_cast<size_t>(grain));
-                       uint64_t ne = 0, ns = 0;
-                       for (size_t i = lo; i < hi; ++i) {
-                         if (i == 0 || dlev[i] <= l) ++ne;
-                         if (i == 0 || dlev[i] < l) ++ns;
-                       }
-                       elems_before[c + 1] = ne;
-                       sets_before[c + 1] = ns;
-                     });
-    for (size_t c = 0; c < num_chunks; ++c) {
-      elems_before[c + 1] += elems_before[c];
-      sets_before[c + 1] += sets_before[c];
-    }
-    elems->resize(elems_before[num_chunks]);
-    std::vector<uint32_t>& set_base = level->set_base_;
-    set_base.resize(sets_before[num_chunks] + 1);
-    pool.ParallelFor(0, static_cast<int64_t>(num_chunks), 1,
-                     [&](int, int64_t c) {
-                       const size_t lo =
-                           static_cast<size_t>(c) * static_cast<size_t>(grain);
-                       const size_t hi =
-                           std::min(n, lo + static_cast<size_t>(grain));
-                       uint64_t ei = elems_before[c];
-                       uint64_t si = sets_before[c];
-                       for (size_t i = lo; i < hi; ++i) {
-                         if (i == 0 || dlev[i] < l) {
-                           set_base[si++] = static_cast<uint32_t>(ei);
-                         }
-                         if (i == 0 || dlev[i] <= l) {
-                           (*elems)[ei++] = static_cast<uint32_t>(i);
-                         }
-                       }
-                     });
-    set_base.back() = static_cast<uint32_t>(elems->size());
-  };
-
   for (size_t l = 0; l < num_levels; ++l) {
     TrieLevel& level = trie.levels_[l];
-    level.level_index_ = static_cast<int>(l);
-    if (static_cast<int>(l) >= eager) {
-      build_lazy_skeleton(l, &level, &elem_starts[l]);
-    } else if (l == 0) {
+    if (l == 0) {
       // Level 0 is a single set of the root values.
       std::vector<uint64_t> scratch_words;
       std::vector<uint32_t> scratch_ranks;
@@ -827,25 +473,13 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
 
     if (l < spec.domain_sizes.size() && spec.domain_sizes[l] > 0) {
       bool full = true;
-      if (static_cast<int>(l) >= eager) {
-        // Lazy level: cardinalities come from the base-rank skeleton.
-        const std::vector<uint32_t>& sb = level.set_base_;
-        for (size_t s = 0; s + 1 < sb.size(); ++s) {
-          if (sb[s + 1] - sb[s] != spec.domain_sizes[l]) {
-            full = false;
-            break;
-          }
+      for (const TrieLevel::SetDesc& s : level.sets_) {
+        if (s.cardinality != spec.domain_sizes[l]) {
+          full = false;
+          break;
         }
-        full = full && sb.size() > 1 && n > 0;
-      } else {
-        for (const TrieLevel::SetDesc& s : level.sets_) {
-          if (s.cardinality != spec.domain_sizes[l]) {
-            full = false;
-            break;
-          }
-        }
-        full = full && !level.sets_.empty() && n > 0;
       }
+      full = full && !level.sets_.empty() && n > 0;
       level.full_size_ = full ? spec.domain_sizes[l] : 0;
     }
   }
@@ -884,30 +518,6 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
                                  : static_cast<uint32_t>(n);
   };
 
-  // Annotations attached at a lazy level pre-size their (zeroed) buffer now
-  // — executor fast paths capture stable data pointers at setup — and
-  // record a deferred fill that runs when each set materializes.
-  std::vector<TrieLazyState::Fill> deferred_fills;
-  std::vector<std::shared_ptr<const std::vector<double>>> owned_sources;
-  const auto defer_fill = [&](const TrieAnnotationSpec& a, int attach,
-                              AnnotationBuffer* buf) {
-    TrieLazyState::Fill fill;
-    fill.merge = a.merge;
-    fill.level = attach;
-    fill.src_ints = a.ints != nullptr ? a.ints->data() : nullptr;
-    fill.src_reals = a.reals != nullptr ? a.reals->data() : nullptr;
-    fill.src_codes = a.codes != nullptr ? a.codes->data() : nullptr;
-    if (!buf->ints.empty()) {
-      fill.dst_ints = buf->ints.data();
-    } else if (!buf->codes.empty()) {
-      fill.dst_codes = buf->codes.data();
-    } else {
-      fill.dst_reals = buf->reals.data();
-    }
-    deferred_fills.push_back(fill);
-    if (a.owned_reals != nullptr) owned_sources.push_back(a.owned_reals);
-  };
-
   for (const TrieAnnotationSpec& a : spec.annotations) {
     AnnotationBuffer buf;
     buf.name = a.name;
@@ -923,13 +533,6 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
       buf.type = ValueType::kDouble;
       buf.level = static_cast<int>(num_levels) - 1;
       buf.reals.resize(num_leaves);
-      if (buf.level >= eager) {
-        // Leaf level is lazy: each leaf's fold runs when its set
-        // materializes, in the same sorted-row order as the eager path.
-        defer_fill(a, buf.level, &buf);
-        trie.annotations_.push_back(std::move(buf));
-        continue;
-      }
       // Parallel over leaves; each leaf's fold runs whole on one thread in
       // sorted-row order, so the result is bit-identical to the sequential
       // build at any thread count.
@@ -1029,13 +632,6 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
       } else {
         buf.reals.resize(count);
       }
-      if (attach >= eager) {
-        // Attach level is lazy: gather each element's value when its set
-        // materializes.
-        defer_fill(a, attach, &buf);
-        trie.annotations_.push_back(std::move(buf));
-        continue;
-      }
       pool.ParallelChunks(0, static_cast<int64_t>(count),
                           AdaptiveGrain(count, 1 << 14),
                           [&](int, int64_t jlo, int64_t jhi) {
@@ -1060,50 +656,15 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
     buf.type = ValueType::kInt64;
     buf.level = static_cast<int>(num_levels) - 1;
     buf.ints.resize(num_leaves);
-    if (buf.level >= eager) {
-      TrieLazyState::Fill fill;
-      fill.level = buf.level;
-      fill.is_count = true;
-      fill.dst_ints = buf.ints.data();
-      deferred_fills.push_back(fill);
-    } else {
-      pool.ParallelChunks(0, static_cast<int64_t>(num_leaves),
-                          AdaptiveGrain(num_leaves, 1 << 14),
-                          [&](int, int64_t jlo, int64_t jhi) {
-                            for (int64_t j = jlo; j < jhi; ++j) {
-                              buf.ints[j] = elem_range_end(leaf_starts, j) -
-                                            leaf_starts[j];
-                            }
-                          });
-    }
+    pool.ParallelChunks(0, static_cast<int64_t>(num_leaves),
+                        AdaptiveGrain(num_leaves, 1 << 14),
+                        [&](int, int64_t jlo, int64_t jhi) {
+                          for (int64_t j = jlo; j < jhi; ++j) {
+                            buf.ints[j] = elem_range_end(leaf_starts, j) -
+                                          leaf_starts[j];
+                          }
+                        });
     trie.annotations_.push_back(std::move(buf));
-  }
-
-  if (eager < static_cast<int>(num_levels)) {
-    auto lazy = std::make_unique<TrieLazyState>();
-    lazy->first_lazy_ = eager;
-    lazy->key_codes_ = kc;
-    lazy->fills_ = std::move(deferred_fills);
-    lazy->owned_sources_ = std::move(owned_sources);
-    lazy->elem_starts_.resize(num_levels);
-    lazy->slots_.resize(num_levels - static_cast<size_t>(eager));
-    for (size_t l = static_cast<size_t>(eager); l < num_levels; ++l) {
-      TrieLevel& level = trie.levels_[l];
-      lazy->elem_starts_[l] = std::move(elem_starts[l]);
-      const uint32_t num_sets =
-          static_cast<uint32_t>(level.set_base_.size() - 1);
-      TrieLazyState::LevelSlots& ls = lazy->slots_[l - eager];
-      ls.num_sets = num_sets;
-      ls.slots = std::make_unique<std::atomic<TrieLazyState::MaterializedSet*>[]>(
-          num_sets);
-      level.lazy_ = lazy.get();
-    }
-    lazy->rows_ = std::move(rows);
-    trie.lazy_ = std::move(lazy);
-    if (obs::ExecStats* stats = obs::ActiveStats()) {
-      stats->CountLazyLevels(
-          static_cast<uint64_t>(static_cast<int>(num_levels) - eager));
-    }
   }
 
   if (obs::ExecStats* stats = obs::ActiveStats()) stats->CountTrieBuilt();

@@ -16,7 +16,6 @@
 #define LEVELHEADED_STORAGE_TRIE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,8 +25,6 @@
 #include "util/status.h"
 
 namespace levelheaded {
-
-class TrieLazyState;
 
 /// How duplicate key tuples combine an annotation during trie construction.
 /// The merge operator must match the aggregation semiring that consumes the
@@ -69,32 +66,17 @@ struct AnnotationBuffer {
 /// One trie level: concatenated set storage plus per-set descriptors.
 class TrieLevel {
  public:
-  uint32_t num_sets() const {
-    return lazy_ != nullptr ? static_cast<uint32_t>(set_base_.size() - 1)
-                            : static_cast<uint32_t>(sets_.size());
-  }
+  uint32_t num_sets() const { return static_cast<uint32_t>(sets_.size()); }
   uint64_t num_elements() const { return num_elements_; }
 
-  /// View of set `set_idx`; valid while the trie is alive. On a lazy level
-  /// (DESIGN.md §16) the first call for a set materializes its payload and
-  /// the annotation entries of its rank range; concurrent callers of the
-  /// same set synchronize on a once-per-set publication slot.
+  /// View of set `set_idx`; valid while the trie is alive.
   SetView set(uint32_t set_idx) const;
 
-  /// Global rank of the first element of set `set_idx`. Exact even on lazy
-  /// levels: base ranks come from the eager rank skeleton, not from
-  /// materialization.
+  /// Global rank of the first element of set `set_idx`.
   uint32_t base_rank(uint32_t set_idx) const {
-    if (lazy_ != nullptr) {
-      LH_DCHECK_BOUNDS(set_idx + 1, set_base_.size());
-      return set_base_[set_idx];
-    }
     LH_DCHECK_BOUNDS(set_idx, sets_.size());
     return sets_[set_idx].base_rank;
   }
-
-  /// True when this level's set payloads materialize on first probe.
-  bool is_lazy() const { return lazy_ != nullptr; }
 
   /// True when every set in this level is the complete domain [0, domain):
   /// the "completely dense relation" case whose icost is 0 (§V-A1).
@@ -119,7 +101,6 @@ class TrieLevel {
 
  private:
   friend class Trie;
-  friend class TrieLazyState;
 
   struct SetDesc {
     SetLayout layout;
@@ -136,16 +117,6 @@ class TrieLevel {
   std::vector<uint64_t> words_;
   std::vector<uint32_t> word_ranks_;
   std::vector<uint32_t> first_leaf_;
-  /// Lazy levels only: base rank per set, one extra entry for the total
-  /// (set s spans global ranks [set_base_[s], set_base_[s+1])). `sets_` and
-  /// the payload vectors stay empty; payloads live in the owning trie's
-  /// TrieLazyState once materialized.
-  std::vector<uint32_t> set_base_;
-  /// Owning trie's deferred-build state when this level is lazy. Points at
-  /// mutable heap state so the logically-const set() accessor can
-  /// materialize through it.
-  TrieLazyState* lazy_ = nullptr;
-  int level_index_ = 0;
   uint32_t leaf_end_ = 0;
   uint64_t num_elements_ = 0;
   uint32_t full_size_ = 0;
@@ -161,13 +132,6 @@ struct TrieAnnotationSpec {
   const std::vector<double>* reals = nullptr;
   const std::vector<uint32_t>* codes = nullptr;
   const Dictionary* dict = nullptr;
-  /// Optional shared ownership of the `reals` source. A lazy build
-  /// (TrieBuildSpec::eager_levels) reads annotation sources at
-  /// materialization time, after the builder's scope has unwound; computed
-  /// per-row columns must pass ownership here so the trie keeps them alive.
-  /// Borrowed table columns may leave this null — the catalog outlives
-  /// every trie built over it.
-  std::shared_ptr<const std::vector<double>> owned_reals;
 };
 
 /// Inputs for Trie::Build.
@@ -187,31 +151,14 @@ struct TrieBuildSpec {
   /// leaf element (i.e. not functionally determined by the queried keys)
   /// fails the build instead of silently keeping the first value.
   bool verify_first_unique = false;
-  /// Number of trie levels to build eagerly; levels [eager_levels,
-  /// num_levels) keep only their rank skeleton (exact element counts, per-
-  /// set base ranks, first-leaf index) and materialize per-set payloads plus
-  /// the annotation entries attached there on first probe (DESIGN.md §16).
-  /// -1 (the default) builds every level eagerly; other values are clamped
-  /// to [1, num_levels]. A lazy trie borrows the key-code columns and any
-  /// non-owned annotation sources for its lifetime, so only tables that
-  /// outlive the trie (catalog columns) may feed a lazy build.
-  int eager_levels = -1;
 };
 
 /// An immutable trie over the key attributes of one relation instance.
 class Trie {
  public:
-  Trie();
-  ~Trie();
-  Trie(Trie&&) noexcept;
-  Trie& operator=(Trie&&) noexcept;
-
   /// Sorts the (selected) rows by the key codes, deduplicates key tuples,
-  /// and lays out level sets and annotation buffers. With
-  /// `spec.eager_levels` set, the deeper levels defer payload emission and
-  /// annotation fills per set until first probe; ranks, element counts and
-  /// the verify_first_unique check are computed eagerly either way, so a
-  /// lazy trie is observationally identical to an eager one.
+  /// and lays out level sets and annotation buffers. The trie borrows
+  /// nothing from `spec`: its sources need only outlive the call.
   [[nodiscard]] static Result<Trie> Build(const TrieBuildSpec& spec);
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
@@ -238,21 +185,11 @@ class Trie {
   /// rectangular array and annotation buffers are BLAS-ready (§III-D).
   bool IsCompletelyDense() const;
 
-  /// Number of levels whose payloads materialize on first probe (0 for a
-  /// fully eager trie).
-  int lazy_levels() const;
-  /// Sets materialized so far across all lazy levels (diagnostics; grows
-  /// concurrently while queries probe).
-  uint64_t materialized_sets() const;
-
   /// Approximate heap footprint in bytes (diagnostics and trie-cache
-  /// accounting). For a lazy trie this includes the retained build state
-  /// and grows as sets materialize — the cache resamples it on every probe.
+  /// accounting). Fixed once Build returns.
   size_t MemoryBytes() const;
 
  private:
-  friend class TrieLazyState;
-
   /// Appends one set of ascending values to `level` during construction.
   static void EmitSet(const std::vector<uint32_t>& vals, uint32_t base_rank,
                       TrieLevel::SetDesc* desc, TrieLevel* level,
@@ -261,10 +198,6 @@ class Trie {
 
   std::vector<TrieLevel> levels_;
   std::vector<AnnotationBuffer> annotations_;
-  /// Deferred-build state; null for fully eager tries. Heap-allocated so
-  /// the per-set publication slots keep their addresses when the Trie
-  /// object moves.
-  std::unique_ptr<TrieLazyState> lazy_;
 };
 
 }  // namespace levelheaded

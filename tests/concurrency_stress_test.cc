@@ -392,106 +392,6 @@ TEST(TrieCacheStressTest, BudgetThrashUnderConcurrentLoadStaysSafe) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// --- Lazy trie materialization (DESIGN.md §16) -----------------------------
-
-TEST(TrieLazyStressTest, ConcurrentProbesYieldOneIdenticalView) {
-  // Many threads race first-probes over the same lazy trie. The CAS
-  // publication slot must hand every thread the same materialized set,
-  // each set must materialize exactly once (the counter would overshoot on
-  // a double build), and the annotations must come out bit-identical to an
-  // eager twin. Sources stay in scope: a lazy trie borrows them.
-  constexpr size_t kTuples = 4000;
-  std::vector<uint32_t> a(kTuples), b(kTuples);
-  std::vector<double> w(kTuples);
-  Rng rng(20260809);
-  for (size_t i = 0; i < kTuples; ++i) {
-    a[i] = static_cast<uint32_t>(rng.Uniform(40));
-    b[i] = static_cast<uint32_t>(rng.Uniform(40));
-    w[i] = rng.UniformDouble(0, 1);
-  }
-  TrieBuildSpec spec;
-  spec.key_codes = {&a, &b};
-  TrieAnnotationSpec ann;
-  ann.name = "w";
-  ann.type = ValueType::kDouble;
-  ann.merge = AnnotationMerge::kSum;
-  ann.reals = &w;
-  spec.annotations.push_back(ann);
-  const Trie eager = Trie::Build(spec).ValueOrDie();
-  spec.eager_levels = 1;
-  const Trie lazy = Trie::Build(spec).ValueOrDie();
-  ASSERT_EQ(lazy.lazy_levels(), 1);
-  ASSERT_EQ(lazy.materialized_sets(), 0u);
-
-  const uint32_t num_sets = lazy.level(1).num_sets();
-  constexpr int kThreads = 8;
-  std::latch start(kThreads);
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, num_sets, &lazy, &eager, &start, &mismatches] {
-      start.arrive_and_wait();
-      // Rotate the probe order per thread so every set sees first-probe
-      // races from different directions.
-      for (uint32_t i = 0; i < num_sets; ++i) {
-        const uint32_t s =
-            (i + static_cast<uint32_t>(t) * (num_sets / kThreads)) % num_sets;
-        if (lazy.level(1).set(s).ToVector() !=
-            eager.level(1).set(s).ToVector()) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(lazy.materialized_sets(), num_sets);
-  ASSERT_EQ(lazy.num_annotations(), eager.num_annotations());
-  EXPECT_EQ(lazy.annotation(0).reals, eager.annotation(0).reals);
-}
-
-TEST(TrieCacheStressTest, ProbeRechargesLazyTrieGrowth) {
-  // The cache charges MemoryBytes at Put time, but a lazy trie grows as
-  // queries probe it; every cache probe resamples the footprint and
-  // delta-adjusts the budget tally (Entry::bytes doc).
-  std::vector<uint32_t> a(512), b(512);
-  std::vector<double> w(512);
-  Rng rng(7);
-  for (size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<uint32_t>(rng.Uniform(16));
-    b[i] = static_cast<uint32_t>(rng.Uniform(64));
-    w[i] = 1.0;
-  }
-  TrieBuildSpec spec;
-  spec.key_codes = {&a, &b};
-  TrieAnnotationSpec ann;
-  ann.name = "w";
-  ann.type = ValueType::kDouble;
-  ann.merge = AnnotationMerge::kSum;
-  ann.reals = &w;
-  spec.annotations.push_back(ann);
-  spec.eager_levels = 1;
-  auto trie = std::make_shared<Trie>(Trie::Build(spec).ValueOrDie());
-  ASSERT_EQ(trie->lazy_levels(), 1);
-
-  TrieCache cache;
-  cache.Put("lazy", trie);
-  const size_t charged_at_put = cache.bytes();
-  EXPECT_EQ(charged_at_put, trie->MemoryBytes());
-
-  // Materialize everything behind the cache's back (as executing queries
-  // holding the shared_ptr do): the tally is stale until the next probe.
-  for (uint32_t s = 0; s < trie->level(1).num_sets(); ++s) {
-    (void)trie->level(1).set(s);
-  }
-  EXPECT_GT(trie->MemoryBytes(), charged_at_put);
-  EXPECT_EQ(cache.bytes(), charged_at_put);
-
-  ASSERT_NE(cache.Get("lazy"), nullptr);  // resamples
-  EXPECT_EQ(cache.bytes(), trie->MemoryBytes());
-}
-
 TEST(TrieCacheStressTest, ClearDetachesInFlightBuilds) {
   // The Clear-vs-GetOrBuild contract (trie_cache.h): a leader registered
   // before the clear finishes privately — its caller gets the trie, the

@@ -563,86 +563,37 @@ TEST_F(EngineTest, QueryAnalyzeReportsCachedTries) {
   EXPECT_GT(second.value().profile->counters.trie_cache_hits, 0u);
 }
 
-// --- Lazy trie builds (DESIGN.md §16) ---------------------------------------
-
-TEST_F(EngineTest, LazyAndEagerArmsBitIdentical) {
-  // The planner's hybrid build-vs-probe choice is an optimization only:
-  // toggling use_lazy_tries must not change a single output bit. The cache
-  // is cleared between arms so each one really builds its own tries.
-  const std::vector<std::string> queries = {
-      "SELECT n_name, sum(l_extendedprice * (1 - l_discount)) AS rev "
-      "FROM customer, orders, lineitem, supplier, nation, region "
-      "WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey "
-      "AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey "
-      "AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey "
-      "AND r_name = 'ASIA' "
-      "AND o_orderdate >= date '1994-06-01' "
-      "AND o_orderdate < date '1996-06-01' "
-      "GROUP BY n_name",
-      "SELECT n_name, count(*) FROM customer, orders, nation "
-      "WHERE o_custkey = c_custkey AND c_nationkey = n_nationkey "
-      "GROUP BY n_name",
-      "SELECT count(*) FROM edge e1, edge e2, edge e3 "
-      "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src",
-      "SELECT o_orderdate, sum(l_quantity) FROM orders, lineitem "
-      "WHERE l_orderkey = o_orderkey AND l_returnflag = 'R' "
-      "GROUP BY o_orderdate",
-  };
-  for (const std::string& sql : queries) {
-    QueryOptions eager;
-    eager.use_lazy_tries = false;
-    engine_->trie_cache()->Clear();
-    auto e = engine_->Query(sql, eager);
-    ASSERT_TRUE(e.ok()) << sql << "\n" << e.status().ToString();
-    e.value().SortRows();
-    const std::string expected = e.value().ToString(1u << 20);
-
-    engine_->trie_cache()->Clear();
-    auto l = engine_->Query(sql);  // lazy planning on by default
-    ASSERT_TRUE(l.ok()) << sql << "\n" << l.status().ToString();
-    l.value().SortRows();
-    EXPECT_EQ(l.value().ToString(1u << 20), expected) << sql;
-  }
-}
-
-TEST_F(EngineTest, LazyBuildCountersFlowThroughProfile) {
-  // Q5's filtered star join triggers the hybrid rule: at least one trie
-  // builds lazily and the per-query profile reports all three counters.
+TEST_F(EngineTest, CachedTrieHitSkipsAggregateArgument) {
+  // lineitem's trie carries sum()'s single-relation argument as an
+  // annotation, so building it evaluates the expression over every lineitem
+  // row. The second run reuses the cached trie and must not evaluate it
+  // again: a hit pays for the signature, not for the column.
   const std::string sql =
-      "SELECT n_name, sum(l_extendedprice * (1 - l_discount)) AS rev "
-      "FROM customer, orders, lineitem, supplier, nation, region "
-      "WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey "
-      "AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey "
-      "AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey "
-      "AND r_name = 'ASIA' "
-      "AND o_orderdate >= date '1994-06-01' "
-      "AND o_orderdate < date '1996-06-01' "
-      "GROUP BY n_name";
+      "SELECT o_orderdate, sum(l_extendedprice * (1 - l_discount)) "
+      "FROM orders, lineitem WHERE l_orderkey = o_orderkey "
+      "GROUP BY o_orderdate";
   engine_->trie_cache()->Clear();
-  auto lazy = engine_->QueryAnalyze(sql);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-  ASSERT_NE(lazy.value().profile, nullptr);
-  const obs::StatsSnapshot& c = lazy.value().profile->counters;
-  EXPECT_GT(c.trie_lazy_levels, 0u);
-  EXPECT_GT(c.trie_materialized_subtries, 0u);
-  EXPECT_GT(c.trie_lazy_bytes, 0u);
+  auto first = engine_->QueryAnalyze(sql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_NE(first.value().profile, nullptr);
+  auto second = engine_->QueryAnalyze(sql);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_NE(second.value().profile, nullptr);
 
-  // The eager arm reports zeros — the counters measure laziness, not size.
-  QueryOptions eager;
-  eager.use_lazy_tries = false;
-  engine_->trie_cache()->Clear();
-  auto e = engine_->QueryAnalyze(sql, eager);
-  ASSERT_TRUE(e.ok());
-  ASSERT_NE(e.value().profile, nullptr);
-  EXPECT_EQ(e.value().profile->counters.trie_lazy_levels, 0u);
-  EXPECT_EQ(e.value().profile->counters.trie_materialized_subtries, 0u);
-  EXPECT_EQ(e.value().profile->counters.trie_lazy_bytes, 0u);
+  const obs::StatsSnapshot& cold = first.value().profile->counters;
+  const obs::StatsSnapshot& warm = second.value().profile->counters;
+  EXPECT_EQ(warm.tries_built, 0u);
+  EXPECT_GT(warm.trie_cache_hits, 0u);
+  EXPECT_GE(cold.expr_vm_rows, warm.expr_vm_rows + kLineitems);
+  first.value().SortRows();
+  second.value().SortRows();
+  EXPECT_EQ(second.value().ToString(1u << 20),
+            first.value().ToString(1u << 20));
 }
 
 TEST_F(EngineTest, TriangleKeepsEagerWcojPlan) {
-  // Symmetric, unfiltered self-join: no covering relation is filtered or
-  // decisively smaller, so ChooseLazyBuild keeps every edge trie eager and
-  // the WCOJ plan runs exactly as before the lazy machinery existed.
+  // Symmetric, unfiltered self-join: the edge tries are built and the WCOJ
+  // intersects at every attribute.
   engine_->trie_cache()->Clear();
   auto r = engine_->QueryAnalyze(
       "SELECT count(*) FROM edge e1, edge e2, edge e3 "
@@ -650,7 +601,6 @@ TEST_F(EngineTest, TriangleKeepsEagerWcojPlan) {
   ASSERT_TRUE(r.ok());
   ASSERT_NE(r.value().profile, nullptr);
   EXPECT_GT(r.value().profile->counters.tries_built, 0u);
-  EXPECT_EQ(r.value().profile->counters.trie_lazy_levels, 0u);
   EXPECT_GT(r.value().profile->counters.TotalIntersections(), 0u);
 }
 

@@ -1,4 +1,4 @@
-#include "query/full_decomposer.h"
+#include "full_decomposer.h"
 
 #include <algorithm>
 #include <cmath>

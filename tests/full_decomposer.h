@@ -10,12 +10,12 @@
 //   recursively with its interface to the bag forced into the child's bag
 //   (running intersection).
 //
-// Exponential in the number of edges — used by tests to certify that the
-// planner's minimum FHW matches the true optimum on the benchmark queries,
-// and by tools that want the exact hypertree width of a query.
+// Exponential in the number of edges. It is a test oracle, linked only into
+// full_decomposer_test, which certifies that the planner's minimum FHW
+// matches the true optimum on the benchmark queries.
 
-#ifndef LEVELHEADED_QUERY_FULL_DECOMPOSER_H_
-#define LEVELHEADED_QUERY_FULL_DECOMPOSER_H_
+#ifndef LEVELHEADED_TESTS_FULL_DECOMPOSER_H_
+#define LEVELHEADED_TESTS_FULL_DECOMPOSER_H_
 
 #include <vector>
 
@@ -46,4 +46,4 @@ Result<double> ExactFhw(const Hypergraph& h);
 
 }  // namespace levelheaded
 
-#endif  // LEVELHEADED_QUERY_FULL_DECOMPOSER_H_
+#endif  // LEVELHEADED_TESTS_FULL_DECOMPOSER_H_

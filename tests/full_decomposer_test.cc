@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "full_decomposer.h"
 #include "query/decomposer.h"
-#include "query/full_decomposer.h"
 #include "query/hypergraph.h"
 
 namespace levelheaded {

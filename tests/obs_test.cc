@@ -113,7 +113,7 @@ TEST(ExecStatsTest, ItemsCoverEveryCounter) {
   stats.CountIntersectElided(3);
   StatsSnapshot snap = stats.Snapshot();
   std::vector<std::pair<std::string, uint64_t>> items = snap.Items();
-  EXPECT_EQ(items.size(), 26u);
+  EXPECT_EQ(items.size(), 23u);
   bool saw_uint_uint = false;
   bool saw_elided = false;
   bool saw_task_steals = false;

@@ -200,6 +200,37 @@ TEST(TrieTest, RejectsInvalidSpecs) {
   EXPECT_FALSE(Trie::Build(bad_ann).ok());
 }
 
+TEST(TrieTest, VerifyFirstUniqueRejectsUndeterminedAnnotation) {
+  // The key tuple (0, 1) repeats with two different tags: no key level
+  // determines the tag, not even the leaf.
+  std::vector<uint32_t> a = {0, 0, 2};
+  std::vector<uint32_t> b = {1, 1, 3};
+  std::vector<int64_t> tag = {5, 6, 7};
+
+  TrieBuildSpec spec;
+  spec.key_codes = {&a, &b};
+  TrieAnnotationSpec ann;
+  ann.name = "tag";
+  ann.type = ValueType::kInt64;
+  ann.merge = AnnotationMerge::kFirst;
+  ann.ints = &tag;
+  spec.annotations.push_back(ann);
+
+  // Unverified, the leaf keeps the first row's value in table order.
+  Trie trie = Trie::Build(spec).ValueOrDie();
+  EXPECT_EQ(trie.annotation(0).level, 1);
+  EXPECT_EQ(trie.annotation(0).ints, (std::vector<int64_t>{5, 7}));
+
+  spec.verify_first_unique = true;
+  Result<Trie> verified = Trie::Build(spec);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kExecutionError);
+
+  // A determined annotation passes the same check.
+  tag = {5, 5, 7};
+  EXPECT_TRUE(Trie::Build(spec).ok());
+}
+
 // Property test: the trie must round-trip an arbitrary multiset of tuples
 // into its distinct sorted tuple set with summed annotations.
 class TrieRoundTripTest
@@ -266,204 +297,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(500, 4, 4),
                       std::make_tuple(2000, 1000, 2),
                       std::make_tuple(64, 64, 1)));
-
-// ---------------------------------------------------------------------------
-// Lazy builds (DESIGN.md §16): eager_levels defers per-set payload emission
-// and annotation fills to first probe. A lazy trie must be observationally
-// identical to its eager twin — same skeleton counts before any probe, same
-// sets and annotation values after.
-// ---------------------------------------------------------------------------
-
-/// Random multi-level spec with sum/min/max/first annotations plus #count.
-struct LazyFixture {
-  std::vector<std::vector<uint32_t>> cols;
-  std::vector<double> sum_src;
-  std::vector<double> minmax_src;
-  std::vector<int64_t> first_src;
-
-  void Generate(int num_rows, int universe, int num_levels, uint64_t seed) {
-    Rng rng(seed);
-    cols.assign(num_levels, {});
-    for (int r = 0; r < num_rows; ++r) {
-      for (int l = 0; l < num_levels; ++l) {
-        cols[l].push_back(static_cast<uint32_t>(rng.Uniform(universe)));
-      }
-      sum_src.push_back(rng.UniformDouble(0, 10));
-      minmax_src.push_back(rng.UniformDouble(-5, 5));
-      // Functionally determined by the first key column: attaches at an
-      // eager level even when everything deeper is lazy.
-      first_src.push_back(static_cast<int64_t>(cols[0].back()) * 7);
-    }
-  }
-
-  TrieBuildSpec Spec(int eager_levels) const {
-    TrieBuildSpec spec;
-    for (const auto& c : cols) spec.key_codes.push_back(&c);
-    TrieAnnotationSpec sum;
-    sum.name = "s";
-    sum.merge = AnnotationMerge::kSum;
-    sum.reals = &sum_src;
-    spec.annotations.push_back(sum);
-    TrieAnnotationSpec mn;
-    mn.name = "mn";
-    mn.merge = AnnotationMerge::kMin;
-    mn.reals = &minmax_src;
-    spec.annotations.push_back(mn);
-    TrieAnnotationSpec mx;
-    mx.name = "mx";
-    mx.merge = AnnotationMerge::kMax;
-    mx.reals = &minmax_src;
-    spec.annotations.push_back(mx);
-    TrieAnnotationSpec fst;
-    fst.name = "f";
-    fst.type = ValueType::kInt64;
-    fst.merge = AnnotationMerge::kFirst;
-    fst.ints = &first_src;
-    spec.annotations.push_back(fst);
-    spec.add_count_annotation = true;
-    spec.eager_levels = eager_levels;
-    return spec;
-  }
-};
-
-/// Probes every set of every level (in the given order per level) and then
-/// checks full equality of structure and annotations against `eager`.
-void ExpectLazyMatchesEager(const Trie& lazy, const Trie& eager,
-                            bool reverse_probe) {
-  ASSERT_EQ(lazy.num_levels(), eager.num_levels());
-  EXPECT_EQ(lazy.num_tuples(), eager.num_tuples());
-  for (int l = 0; l < lazy.num_levels(); ++l) {
-    const TrieLevel& ll = lazy.level(l);
-    const TrieLevel& el = eager.level(l);
-    ASSERT_EQ(ll.num_sets(), el.num_sets());
-    ASSERT_EQ(ll.num_elements(), el.num_elements());
-    EXPECT_EQ(ll.all_full(), el.all_full());
-    // Skeleton facts are exact before any probe.
-    for (uint32_t s = 0; s < ll.num_sets(); ++s) {
-      EXPECT_EQ(ll.base_rank(s), el.base_rank(s));
-    }
-    for (uint64_t r = 0; r <= ll.num_elements(); ++r) {
-      EXPECT_EQ(ll.first_leaf(r), el.first_leaf(r));
-    }
-    const uint32_t n = ll.num_sets();
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t s = reverse_probe ? n - 1 - i : i;
-      SetView lv = ll.set(s);
-      SetView ev = el.set(s);
-      EXPECT_EQ(lv.ToVector(), ev.ToVector()) << "level " << l << " set " << s;
-    }
-  }
-  ASSERT_EQ(lazy.num_annotations(), eager.num_annotations());
-  for (size_t a = 0; a < lazy.num_annotations(); ++a) {
-    const AnnotationBuffer& lb = lazy.annotation(a);
-    const AnnotationBuffer& eb = eager.annotation(a);
-    EXPECT_EQ(lb.name, eb.name);
-    EXPECT_EQ(lb.level, eb.level);
-    // Bit-identical, not approximate: materialization must run the same
-    // folds in the same order as the eager build.
-    EXPECT_EQ(lb.reals, eb.reals) << lb.name;
-    EXPECT_EQ(lb.ints, eb.ints) << lb.name;
-    EXPECT_EQ(lb.codes, eb.codes) << lb.name;
-  }
-}
-
-TEST(TrieLazyTest, MatchesEagerAfterFullProbe) {
-  for (int num_levels : {2, 3, 4}) {
-    LazyFixture f;
-    f.Generate(800, 12, num_levels, /*seed=*/num_levels * 1009);
-    Trie eager = Trie::Build(f.Spec(-1)).ValueOrDie();
-    ASSERT_EQ(eager.lazy_levels(), 0);
-    for (int eager_levels = 1; eager_levels < num_levels; ++eager_levels) {
-      Trie lazy = Trie::Build(f.Spec(eager_levels)).ValueOrDie();
-      EXPECT_EQ(lazy.lazy_levels(), num_levels - eager_levels);
-      ExpectLazyMatchesEager(lazy, eager, /*reverse_probe=*/false);
-      // Probe order must not matter: a fresh lazy trie probed back-to-front
-      // materializes in a different order but yields the same bits.
-      Trie lazy2 = Trie::Build(f.Spec(eager_levels)).ValueOrDie();
-      ExpectLazyMatchesEager(lazy2, eager, /*reverse_probe=*/true);
-    }
-  }
-}
-
-TEST(TrieLazyTest, SkeletonExactWithoutProbes) {
-  LazyFixture f;
-  f.Generate(500, 9, 3, /*seed=*/42);
-  Trie eager = Trie::Build(f.Spec(-1)).ValueOrDie();
-  Trie lazy = Trie::Build(f.Spec(1)).ValueOrDie();
-  // No set() call yet: counts, base ranks and first_leaf come from the
-  // eagerly computed rank skeleton.
-  EXPECT_EQ(lazy.materialized_sets(), 0u);
-  EXPECT_EQ(lazy.num_tuples(), eager.num_tuples());
-  for (int l = 0; l < 3; ++l) {
-    EXPECT_EQ(lazy.level(l).num_elements(), eager.level(l).num_elements());
-    EXPECT_EQ(lazy.level(l).num_sets(), eager.level(l).num_sets());
-    EXPECT_EQ(lazy.level(l).is_lazy(), l >= 1);
-  }
-}
-
-TEST(TrieLazyTest, MemoryGrowsAsSetsMaterialize) {
-  LazyFixture f;
-  f.Generate(2000, 20, 3, /*seed=*/7);
-  Trie lazy = Trie::Build(f.Spec(1)).ValueOrDie();
-  const size_t before = lazy.MemoryBytes();
-  uint64_t probed = 0;
-  for (int l = 1; l < 3; ++l) {
-    for (uint32_t s = 0; s < lazy.level(l).num_sets(); ++s) {
-      (void)lazy.level(l).set(s);
-      ++probed;
-    }
-  }
-  EXPECT_EQ(lazy.materialized_sets(), probed);
-  EXPECT_GT(lazy.MemoryBytes(), before);
-  // Probing again must not re-materialize or grow further.
-  (void)lazy.level(1).set(0);
-  EXPECT_EQ(lazy.materialized_sets(), probed);
-}
-
-TEST(TrieLazyTest, SelectionAndVerifyFirstUnique) {
-  LazyFixture f;
-  f.Generate(300, 6, 2, /*seed=*/99);
-  // Selection pushdown composes with lazy builds.
-  std::vector<uint32_t> sel;
-  for (uint32_t r = 0; r < 300; r += 3) sel.push_back(r);
-  TrieBuildSpec eager_spec = f.Spec(-1);
-  eager_spec.selection = &sel;
-  TrieBuildSpec lazy_spec = f.Spec(1);
-  lazy_spec.selection = &sel;
-  Trie eager = Trie::Build(eager_spec).ValueOrDie();
-  Trie lazy = Trie::Build(lazy_spec).ValueOrDie();
-  ExpectLazyMatchesEager(lazy, eager, /*reverse_probe=*/false);
-
-  // verify_first_unique runs in the eager skeleton pass: a non-determined
-  // kFirst annotation fails the build even when its attach level is lazy.
-  std::vector<int64_t> clash(300);
-  for (int i = 0; i < 300; ++i) clash[i] = i;  // distinct per base row
-  TrieBuildSpec bad = f.Spec(1);
-  TrieAnnotationSpec ann;
-  ann.name = "clash";
-  ann.type = ValueType::kInt64;
-  ann.merge = AnnotationMerge::kFirst;
-  ann.ints = &clash;
-  bad.annotations.push_back(ann);
-  bad.verify_first_unique = true;
-  EXPECT_FALSE(Trie::Build(bad).ok());
-}
-
-TEST(TrieLazyTest, EmptyAndClampedBuildsStayEager) {
-  LazyFixture f;
-  f.Generate(100, 5, 2, /*seed=*/3);
-  // Empty selection: n == 0 forces a fully eager (trivial) build.
-  std::vector<uint32_t> empty_sel;
-  TrieBuildSpec spec = f.Spec(1);
-  spec.selection = &empty_sel;
-  Trie t = Trie::Build(spec).ValueOrDie();
-  EXPECT_EQ(t.lazy_levels(), 0);
-  EXPECT_EQ(t.num_tuples(), 0u);
-  // eager_levels beyond num_levels clamps to fully eager.
-  TrieBuildSpec deep = f.Spec(99);
-  Trie t2 = Trie::Build(deep).ValueOrDie();
-  EXPECT_EQ(t2.lazy_levels(), 0);
-}
 
 }  // namespace
 }  // namespace levelheaded
