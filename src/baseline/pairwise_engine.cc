@@ -96,7 +96,7 @@ class PairwiseRun {
       GroupAccum empty(plan_.dims.size(), &plan_.aggs);
       LH_ASSIGN_OR_RETURN(
           QueryResult r,
-          MaterializeGroups(plan_, {&empty}, dim_infos_));
+          MaterializeGroups(plan_, empty, dim_infos_));
       r.timing.exec_ms = total.ElapsedMillis();
       return r;
     }
@@ -168,7 +168,7 @@ class PairwiseRun {
 
     LH_ASSIGN_OR_RETURN(
         QueryResult result,
-        MaterializeGroups(plan_, {&groups}, dim_infos_));
+        MaterializeGroups(plan_, groups, dim_infos_));
     ApplyOrderAndLimit(q_, &result);
     result.timing.exec_ms = total.ElapsedMillis();
     return result;

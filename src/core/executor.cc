@@ -422,8 +422,8 @@ class NodeExec {
 
   // ---- Phase-split aggregate run (the full run = PrepareChunks, then
   // RunChunk for every chunk in any order / from any thread, then
-  // AbsorbWorkers and Partials). ExecuteJoin drives the chunks through the
-  // global pool. Grain and skew threshold are functions of cardinalities
+  // AbsorbWorkers and Materialize). ExecuteJoin drives the chunks through
+  // the global pool. Grain and skew threshold are functions of cardinalities
   // only — chunk and sub-task boundaries are merge boundaries for
   // floating-point partials, so they must not move with the thread count
   // (results stay bit-identical under any LH_THREADS). Scheduling only
@@ -437,12 +437,22 @@ class NodeExec {
     key_width_ = dims_->size();
     append_mode_ = !dims_->empty();
     max_dim_pos_ = -1;
+    int min_dim_pos = std::numeric_limits<int>::max();
     const int k = static_cast<int>(node_.attr_order.size());
     for (size_t d = 0; d < dims_->size(); ++d) {
       const DimInfo& info = (*dims_)[d];
       if (info.kind != DimKind::kKeyVertex) append_mode_ = false;
       max_dim_pos_ = std::max(max_dim_pos_, info.vertex_pos);
-      if (info.vertex_pos == k - 1) last_vertex_words_.push_back(d);
+      min_dim_pos = std::min(min_dim_pos, info.vertex_pos);
+      if (info.vertex_pos == 1) split_dim_ = true;
+    }
+    if (append_mode_) {
+      // Root is a group dimension: the binder marks GROUP BY key vertices
+      // as output and the cost model orders materialized attributes first,
+      // so every group lives under one root value and none straddles a
+      // chunk boundary; each chunk closes its own groups.
+      LH_DCHECK(min_dim_pos == 0);
+      layout_ = std::make_unique<RowLayout>(plan_, *dims_);
     }
     seed_ = std::make_unique<Worker>();
     InitWorker(seed_.get(), key_width_);
@@ -454,30 +464,48 @@ class NodeExec {
     grain_ = AdaptiveGrain(n);
     num_chunks_ = (n + grain_ - 1) / grain_;
     skew_threshold_ = SplittableShape(k) ? SkewThreshold() : 0;
-    chunk_out_.resize(num_chunks_);
+    // A skew split whose level 1 is no group dimension splits one group:
+    // with materialized attributes first, no deeper attribute is a group
+    // dimension either (the relaxed (M, P, M) tail is never split).
+    LH_DCHECK(!append_mode_ || skew_threshold_ == 0 || split_dim_ ||
+              max_dim_pos_ == 0);
+    if (append_mode_) {
+      chunk_rows_.resize(num_chunks_);
+    } else {
+      chunk_out_.resize(num_chunks_);
+    }
     return Status::OK();
   }
 
   int64_t num_chunks() const { return num_chunks_; }
 
   /// Executes chunk `chunk` of the root iteration. Thread-safe for distinct
-  /// chunks: every result byte goes into the chunk's own accumulator; the
-  /// scratch Worker comes from a freelist (reuse is determinism-neutral).
-  /// Heavy root values fan their level-1 iteration out as pool tasks.
+  /// chunks: every result byte goes into the chunk's own accumulator (hash
+  /// mode) or result rows (append mode); the scratch Worker comes from a
+  /// freelist (reuse is determinism-neutral). Heavy root values fan their
+  /// level-1 iteration out as pool tasks.
   void RunChunk(int64_t chunk) {
     std::unique_ptr<Worker> holder = AcquireWorker();
     Worker& w = *holder;
-    chunk_out_[chunk] = std::make_unique<GroupAccum>(key_width_, &plan_.aggs);
-    w.groups = chunk_out_[chunk].get();
     const int64_t lo = chunk * grain_;
     const int64_t hi = std::min<int64_t>(
         static_cast<int64_t>(root_values_.size()), lo + grain_);
+    if (append_mode_) {
+      chunk_rows_[chunk] = std::make_unique<RowChunk>(layout_.get());
+      w.rows = chunk_rows_[chunk].get();
+      // One group per root value: at most one row each.
+      if (max_dim_pos_ == 0) w.rows->Reserve(static_cast<size_t>(hi - lo));
+    } else {
+      chunk_out_[chunk] =
+          std::make_unique<GroupAccum>(key_width_, &plan_.aggs);
+      w.groups = chunk_out_[chunk].get();
+    }
     const int k = static_cast<int>(node_.attr_order.size());
     // root_values_ is the root set in order, so index i is the root rank.
     w.single_base[0] = root_base_;
     for (int64_t i = lo; i < hi; ++i) {
       if (guard_active_ &&
-          PollAbort(static_cast<uint64_t>(i - lo), w.groups->num_groups())) {
+          PollAbort(static_cast<uint64_t>(i - lo), RowsSoFar(w))) {
         break;
       }
       const uint32_t v = root_values_[i];
@@ -492,6 +520,9 @@ class NodeExec {
       }
       Recurse(&w, 1);
     }
+    if (append_mode_) w.rows->Close();
+    w.rows = nullptr;
+    w.groups = nullptr;
     ReleaseWorker(std::move(holder));
   }
 
@@ -505,29 +536,28 @@ class NodeExec {
     free_workers_.clear();
   }
 
-  /// The chunk partials in chunk order, for MaterializeGroups. Append-mode
-  /// partials arrive in global key order and are handed over as they are
-  /// (MaterializeGroups applies the boundary rule); hash-mode partials
+  bool append_mode() const { return append_mode_; }
+
+  /// The query's output columns. Append mode concatenates the chunks'
+  /// result rows in chunk order (ConcatRows); hash-mode chunk tables
   /// overlap in keys, so they are first merged into one table in chunk
-  /// order (the FP merge contract). The partials stay owned here. Call
+  /// order (the FP merge contract) and decoded (MaterializeGroups). Call
   /// once, after every RunChunk returned.
-  std::vector<GroupAccum*> Partials() {
-    std::vector<GroupAccum*> out;
+  [[nodiscard]] Result<QueryResult> Materialize(const QueryGuard* guard,
+                                                obs::TraceSpan* span) {
     if (append_mode_) {
-      for (int64_t c = 0; c < num_chunks_; ++c) {
-        if (chunk_out_[c] != nullptr) {
-          out.push_back(chunk_out_[c].get());
-        }
+      std::vector<const RowChunk*> chunks;
+      for (const auto& c : chunk_rows_) {
+        if (c != nullptr) chunks.push_back(c.get());
       }
-      return out;
+      return ConcatRows(*layout_, chunks, guard, span);
     }
-    merged_ = std::make_unique<GroupAccum>(key_width_, &plan_.aggs);
+    GroupAccum merged(key_width_, &plan_.aggs);
     for (const auto& partial : chunk_out_) {
-      if (partial != nullptr) merged_->MergeFrom(*partial);
+      if (partial != nullptr) merged.MergeFrom(*partial);
     }
     chunk_out_.clear();
-    out.push_back(merged_.get());
-    return out;
+    return MaterializeGroups(plan_, merged, *dims_, guard);
   }
 
   /// Leaves reached (tuples emitted) across all runs on this node.
@@ -552,7 +582,8 @@ class NodeExec {
     std::vector<int64_t> single_base;  // per depth: sole participant's base
     std::vector<uint32_t> subrow;  // per slot: current row-level index
     std::vector<uint32_t> sources;  // per LeafSource: the current index
-    GroupAccum* groups = nullptr;
+    GroupAccum* groups = nullptr;   // hash or scalar mode
+    RowChunk* rows = nullptr;       // append mode
     std::vector<double> agg_main, agg_aux;
     std::vector<uint64_t> group_key;
     std::vector<double> rel_count;
@@ -630,6 +661,12 @@ class NodeExec {
     if (s.ok()) return false;
     RecordAbort(std::move(s));
     return true;
+  }
+
+  /// The rows a worker has produced so far: result rows in append mode,
+  /// groups in hash mode (PollAbort's per-worker backstop).
+  size_t RowsSoFar(const Worker& w) const {
+    return append_mode_ ? w.rows->num_rows() : w.groups->num_groups();
   }
 
   /// Strided wrapper for hot loops: cheap flag test always, full check
@@ -776,7 +813,8 @@ class NodeExec {
   // hub vertex, a dominant orderkey range): one chunk then carries most of
   // the query. When a root value's level-1 set is large enough, its level-1
   // iteration is split into fixed sub-ranges that run as ThreadPool tasks,
-  // each into its own GroupAccum, merged back in sub-range order.
+  // each into its own GroupAccum or RowChunk, merged back in sub-range
+  // order.
 
   /// Minimum level-1 cardinality ever worth splitting (sub-task setup costs
   /// a worker init plus an accumulator).
@@ -853,6 +891,7 @@ class NodeExec {
 
     std::vector<std::unique_ptr<Worker>> subs(num_sub);
     std::vector<std::unique_ptr<GroupAccum>> sub_out(num_sub);
+    std::vector<std::unique_ptr<RowChunk>> sub_rows(num_sub);
     ThreadPool& pool = ThreadPool::Global();
     ThreadPool::TaskGroup group(&pool);
     for (int64_t t = 0; t < num_sub; ++t) {
@@ -862,15 +901,19 @@ class NodeExec {
       sub->ranks = w->ranks;  // level-0 cursors from the parent's descent
       sub->single_base = w->single_base;
       sub->vals[0] = w->vals[0];
-      sub_out[t] = std::make_unique<GroupAccum>(key_width, &plan_.aggs);
-      sub->groups = sub_out[t].get();
+      if (append_mode_) {
+        sub_rows[t] = std::make_unique<RowChunk>(layout_.get());
+        sub->rows = sub_rows[t].get();
+      } else {
+        sub_out[t] = std::make_unique<GroupAccum>(key_width, &plan_.aggs);
+        sub->groups = sub_out[t].get();
+      }
       const int64_t lo = t * sub_grain;
       const int64_t hi = std::min(m, lo + sub_grain);
       pool.Submit(&group, [this, w, sub, lo, hi, k] {
         for (int64_t i = lo; i < hi; ++i) {
           if (guard_active_ &&
-              PollAbort(static_cast<uint64_t>(i - lo),
-                        sub->groups->num_groups())) {
+              PollAbort(static_cast<uint64_t>(i - lo), RowsSoFar(*sub))) {
             break;
           }
           const uint32_t v = w->split_vals[i];
@@ -887,12 +930,22 @@ class NodeExec {
     // Helps drain the queue while waiting, so progress is guaranteed even
     // when every pool thread is busy inside this same parallel region.
     group.Wait();
-    for (const auto& so : sub_out) {
-      if (append_mode_) {
-        w->groups->ConcatFrom(*so);
-      } else {
-        w->groups->MergeFrom(*so);
+    if (append_mode_) {
+      w->rows->Close();  // the previous root value's group
+      for (const auto& so : sub_rows) {
+        if (split_dim_) {
+          // Level 1 is a group dimension: the sub-ranges' groups are
+          // disjoint, each closes its own, and they concatenate in order.
+          so->Close();
+          w->rows->Append(*so);
+        } else {
+          // The split root value is one group: the sub-ranges' partial
+          // accumulators combine in sub-range order before it closes.
+          w->rows->CombineOpen(*so);
+        }
       }
+    } else {
+      for (const auto& so : sub_out) w->groups->MergeFrom(*so);
     }
     for (const auto& sub : subs) {
       w->leaf_count += sub->leaf_count;
@@ -1005,15 +1058,14 @@ class NodeExec {
       each([&](uint32_t v, uint32_t rf, uint32_t rs) {
         set_ranks(v, rf, rs);
         EncodeGroupKey(w);
-        double* acc = w->groups->AppendOrLast(w->group_key.data());
+        double* acc = w->rows->Group(w->group_key.data());
         acc[0] += eval();
       });
       return;
     }
-    // Every group dimension is bound above this depth: resolve the group
-    // once and accumulate all matches into it.
+    // Every group dimension is bound above this depth: all matches fold
+    // into one group.
     EncodeGroupKey(w);
-    double* acc = w->groups->AppendOrLast(w->group_key.data());
     double sum = 0;
     if (leaf_first_vals_ != nullptr) {
       const double* vf = leaf_first_vals_ + base_f;
@@ -1025,7 +1077,13 @@ class NodeExec {
         sum += eval();
       });
     }
-    acc[0] += sum;
+    if (depth == 1 && layout_->direct) {
+      // The group is the root value's alone: it is finished, one row.
+      const double acc[2] = {sum, 0.0};
+      w->rows->WriteRow(w->group_key.data(), acc);
+    } else {
+      w->rows->Group(w->group_key.data())[0] += sum;
+    }
   }
 
   /// Specialized §V-A2 inner loop for the single-SUM real-product case
@@ -1090,34 +1148,32 @@ class NodeExec {
     }
   }
 
-  /// Emits one leaf per touched last-attribute value, ascending. In append
-  /// mode the group key is encoded once and only the last vertex's words
-  /// are patched per value, with one table growth for the whole run.
+  /// Emits one leaf per touched last-attribute value, ascending. Under a
+  /// direct append-mode layout the whole run is written as result rows in
+  /// one pass: the leading key words are constant (the root is a group
+  /// dimension, so no earlier group shares them) and the last vertex's
+  /// value varies.
   void FlushRelaxed(Worker* w, size_t stride) {
     const int k = static_cast<int>(node_.attr_order.size());
     w->leaf_count += w->relax_touched.size();
     OrderTouched(w);
-    if (append_mode_ && !last_vertex_words_.empty()) {
+    if (append_mode_ && layout_->direct) {
       EncodeGroupKey(w);
-      w->groups->AppendRun(w->group_key.data(), last_vertex_words_,
-                           w->relax_touched.data(), w->relax_touched.size(),
-                           w->relax_acc.data());
+      w->rows->Close();
+      w->rows->WriteRun(w->group_key.data(), k - 1, w->relax_touched.data(),
+                        w->relax_touched.size(), w->relax_acc.data(), stride);
       w->relax_touched.clear();
       return;
     }
     for (uint32_t m : w->relax_touched) {
       w->vals[k - 1] = m;
-      EncodeGroupKey(w);
       const double* acc =
           w->relax_acc.data() + static_cast<size_t>(m) * stride;
       for (size_t i = 0; i < plan_.aggs.size(); ++i) {
         w->agg_main[i] = acc[2 * i];
         w->agg_aux[i] = acc[2 * i + 1];
       }
-      double* dst = append_mode_
-                        ? w->groups->AppendOrLast(w->group_key.data())
-                        : w->groups->FindOrCreate(w->group_key.data());
-      w->groups->Apply(dst, w->agg_main.data(), w->agg_aux.data());
+      Accumulate(w);
     }
     w->relax_touched.clear();
   }
@@ -1149,22 +1205,9 @@ class NodeExec {
         if (!bits::TestBit(w->relax_occ.data(), m)) {
           bits::SetBit(w->relax_occ.data(), m);
           w->relax_touched.push_back(m);
-          for (size_t i = 0; i < plan_.aggs.size(); ++i) {
-            switch (plan_.aggs[i].func) {
-              case AggFunc::kMin:
-                acc[2 * i] = std::numeric_limits<double>::quiet_NaN();
-                break;
-              case AggFunc::kMax:
-                acc[2 * i] = -std::numeric_limits<double>::infinity();
-                break;
-              default:
-                acc[2 * i] = 0;
-                break;
-            }
-            acc[2 * i + 1] = 0;
-          }
+          InitAccs(plan_.aggs, acc);
         }
-        w->groups->Apply(acc, w->agg_main.data(), w->agg_aux.data());
+        ApplyDeltas(plan_.aggs, acc, w->agg_main.data(), w->agg_aux.data());
       });
     });
     FlushRelaxed(w, stride);
@@ -1421,15 +1464,7 @@ class NodeExec {
       ++w->leaf_count;
       LoadSources(w);
       ComputeDeltas(w);
-      double* acc;
-      if (dims_->empty()) {
-        acc = w->groups->ScalarGroup();
-      } else {
-        EncodeGroupKey(w);
-        acc = append_mode_ ? w->groups->AppendOrLast(w->group_key.data())
-                           : w->groups->FindOrCreate(w->group_key.data());
-      }
-      w->groups->Apply(acc, w->agg_main.data(), w->agg_aux.data());
+      Accumulate(w);
       int d = 0;
       for (; d < nr; ++d) {
         if (++w->subrow[ranges[d].slot] < ranges[d].hi) break;
@@ -1553,15 +1588,22 @@ class NodeExec {
     ++w->leaf_count;
     LoadSources(w);
     ComputeDeltas(w);
+    Accumulate(w);
+  }
+
+  /// Folds agg_main/agg_aux into the leaf's group: the scalar group, the
+  /// hash table's group, or append mode's open group. Non-key dimensions
+  /// read w->sources, so LoadSources must have run for this leaf.
+  void Accumulate(Worker* w) const {
     double* acc;
     if (dims_->empty()) {
       acc = w->groups->ScalarGroup();
     } else {
       EncodeGroupKey(w);
-      acc = append_mode_ ? w->groups->AppendOrLast(w->group_key.data())
+      acc = append_mode_ ? w->rows->Group(w->group_key.data())
                          : w->groups->FindOrCreate(w->group_key.data());
     }
-    w->groups->Apply(acc, w->agg_main.data(), w->agg_aux.data());
+    ApplyDeltas(plan_.aggs, acc, w->agg_main.data(), w->agg_aux.data());
   }
 
   const PhysicalPlan& plan_;
@@ -1603,25 +1645,25 @@ class NodeExec {
   Participant relax_fixed_{};
   uint32_t last_domain_size_ = 0;
   bool append_mode_ = false;
-  // Group-key words holding the last attribute (FlushRelaxed's patch set).
-  std::vector<size_t> last_vertex_words_;
+  bool split_dim_ = false;  // level 1 is a group dimension
+  std::unique_ptr<RowLayout> layout_;  // append mode
   int64_t skew_threshold_ = 0;  // 0 = splitting disabled for this node
   uint64_t total_leaves_ = 0;
   uint64_t total_nodes_ = 0;
   uint64_t total_elided_ = 0;
 
-  // Chunk-run state (PrepareChunks / RunChunk / AbsorbWorkers / Partials).
-  // root_values_, grain_, and chunk layout are written once in
-  // PrepareChunks and read-only during chunk runs; chunk_out_ elements are
-  // written by exactly one RunChunk each.
+  // Chunk-run state (PrepareChunks / RunChunk / AbsorbWorkers /
+  // Materialize). root_values_, grain_, and chunk layout are written once
+  // in PrepareChunks and read-only during chunk runs; chunk_out_ and
+  // chunk_rows_ elements are written by exactly one RunChunk each.
   size_t key_width_ = 0;
   std::unique_ptr<Worker> seed_;
   std::vector<uint32_t> root_values_;
   int64_t root_base_ = 0;  // the root set's base rank (direct_[0])
   int64_t grain_ = 1;
   int64_t num_chunks_ = 0;
-  std::vector<std::unique_ptr<GroupAccum>> chunk_out_;
-  std::unique_ptr<GroupAccum> merged_;  // hash mode: the chunk-order merge
+  std::vector<std::unique_ptr<GroupAccum>> chunk_out_;  // hash mode
+  std::vector<std::unique_ptr<RowChunk>> chunk_rows_;   // append mode
   Mutex scratch_mu_{LockRank::kExecScratch};
   std::vector<std::unique_ptr<Worker>> free_workers_
       LH_GUARDED_BY(scratch_mu_);
@@ -1720,7 +1762,7 @@ struct ScanState {
     }
     timing->exec_ms += t.ElapsedMillis();
     LH_ASSIGN_OR_RETURN(QueryResult result,
-                        MaterializeGroups(plan, {&total}, dim_infos, guard));
+                        MaterializeGroups(plan, total, dim_infos, guard));
     if (qobs != nullptr) {
       qobs->stats.CountTuplesEmitted(result.num_rows);
       qobs->node_tuples.assign(1, result.num_rows);
@@ -1905,28 +1947,45 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
     qobs->node_tuples.assign(1, out_values.size());
   }
 
-  // Key production (the paper's <2% overhead): materialize output columns.
+  // Key production (the paper's <2% overhead): output row r is (i, j) =
+  // (r / nn, r % nn), so each row block i holds A's key i and B's nn keys.
+  // The blocks fill in parallel, straight from the domains' sorted values.
   result.num_rows = out_values.size();
   const Dictionary* dom_b =
       vb >= 0 ? catalog.GetDomain(plan.query.vertices[vb].domain) : nullptr;
+  int agg_reads = 0;
+  for (const OutputItem& out : plan.query.outputs) {
+    if (out.direct_agg_slot == 0) ++agg_reads;
+  }
   for (const OutputItem& out : plan.query.outputs) {
     ResultColumn col;
     col.name = out.name;
-    if (out.direct_group_index == dim_a) {
+    const bool key_a = out.direct_group_index == dim_a;
+    if (key_a || (vb >= 0 && out.direct_group_index == dim_b)) {
       col.type = ValueType::kInt64;
       col.ints.resize(result.num_rows);
-      for (size_t r = 0; r < result.num_rows; ++r) {
-        col.ints[r] = dom_a->DecodeInt(static_cast<uint32_t>(r / nn));
-      }
-    } else if (vb >= 0 && out.direct_group_index == dim_b) {
-      col.type = ValueType::kInt64;
-      col.ints.resize(result.num_rows);
-      for (size_t r = 0; r < result.num_rows; ++r) {
-        col.ints[r] = dom_b->DecodeInt(static_cast<uint32_t>(r % nn));
-      }
+      const int64_t* keys =
+          (key_a ? dom_a : dom_b)->int_values().data();
+      int64_t* dst = col.ints.data();
+      ThreadPool::Global().ParallelChunks(
+          0, m, AdaptiveGrain(m), [&](int, int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i) {
+              int64_t* row = dst + i * nn;
+              if (key_a) {
+                std::fill(row, row + nn, keys[i]);
+              } else {
+                std::copy(keys, keys + nn, row);
+              }
+            }
+          });
     } else if (out.direct_agg_slot == 0) {
       col.type = ValueType::kDouble;
-      col.reals = out_values;
+      // The last reader takes the GEMM/GEMV output itself.
+      if (--agg_reads == 0) {
+        col.reals = std::move(out_values);
+      } else {
+        col.reals = out_values;
+      }
     } else {
       return Status::PlanError("unsupported output shape for dense kernel");
     }
@@ -1944,9 +2003,8 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
 /// Phase-split join execution: Prepare builds tries, runs the Yannakakis
 /// semijoin children, and computes the root node's chunk layout — all on
 /// the calling thread; RunChunk executes one root chunk (thread-safe for
-/// distinct chunks); Gather hands the partials, in chunk order, to
-/// MaterializeGroups. ExecuteJoin drives the chunks through the global
-/// pool.
+/// distinct chunks); Gather materializes the chunk outputs in chunk
+/// order. ExecuteJoin drives the chunks through the global pool.
 struct JoinState {
   JoinState(const PhysicalPlan& p, const Catalog& c, TrieCache* tc,
             QueryResult::Timing* tm, obs::QueryObs* qo, const QueryGuard* g)
@@ -2072,8 +2130,9 @@ struct JoinState {
   }
 
   /// The parallel region is over when this runs: the wcoj span ends
-  /// first, and everything after it — the hash-mode merge and the
-  /// (possibly pooled) decode — is the materialize span.
+  /// first, and everything after it — the append-mode row concat or the
+  /// hash-mode merge and decode — is the materialize span, whose detail
+  /// names the path (`rows` or `groups`).
   Result<QueryResult> Gather() {
     root->AbsorbWorkers();
     LH_RETURN_NOT_OK(root->abort_status());
@@ -2089,8 +2148,8 @@ struct JoinState {
 
     WallTimer mt;
     obs::TraceSpan mat_span(trace, "materialize");
-    Result<QueryResult> result = MaterializeGroups(
-        plan, root->Partials(), dim_infos, guard, &mat_span);
+    mat_span.SetDetail(root->append_mode() ? "rows" : "groups");
+    Result<QueryResult> result = root->Materialize(guard, &mat_span);
     timing->exec_ms += mt.ElapsedMillis();
     if (!result.ok()) return result;
     mat_span.AddMetric("rows", static_cast<double>(result.value().num_rows));
@@ -2112,8 +2171,7 @@ struct JoinState {
   std::vector<OwnedSet> child_results;
   std::vector<std::vector<DimInfo>> no_dims{1};
   std::vector<DimInfo> dim_infos;
-  /// Root NodeExec behind a stable address: chunk runners and the folded
-  /// partials point into it.
+  /// Root NodeExec behind a stable address: chunk runners point into it.
   std::unique_ptr<NodeExec> root;
   WallTimer t;
   std::optional<obs::TraceSpan> wcoj_span;

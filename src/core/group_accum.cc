@@ -71,6 +71,55 @@ DimInfo ClassifyDim(const GroupDimExec& dim, const PhysicalPlan& plan,
   return info;
 }
 
+void InitAccs(const std::vector<AggExec>& aggs, double* acc) {
+  const size_t stride = 2 * std::max<size_t>(1, aggs.size());
+  for (size_t i = 0; i < stride; ++i) acc[i] = 0.0;
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (aggs[i].func == AggFunc::kMin) {
+      // NaN is the top of the total order, so it is MIN's identity.
+      acc[2 * i] = std::numeric_limits<double>::quiet_NaN();
+    } else if (aggs[i].func == AggFunc::kMax) {
+      acc[2 * i] = -std::numeric_limits<double>::infinity();
+    }
+  }
+}
+
+void ApplyDeltas(const std::vector<AggExec>& aggs, double* acc,
+                 const double* main_delta, const double* aux_delta) {
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    switch (aggs[i].func) {
+      case AggFunc::kMin:
+        acc[2 * i] = TotalMin(acc[2 * i], main_delta[i]);
+        break;
+      case AggFunc::kMax:
+        acc[2 * i] = TotalMax(acc[2 * i], main_delta[i]);
+        break;
+      default:
+        acc[2 * i] += main_delta[i];
+        acc[2 * i + 1] += aux_delta[i];
+        break;
+    }
+  }
+}
+
+void CombineAccs(const std::vector<AggExec>& aggs, double* acc,
+                 const double* oa) {
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    switch (aggs[i].func) {
+      case AggFunc::kMin:
+        acc[2 * i] = TotalMin(acc[2 * i], oa[2 * i]);
+        break;
+      case AggFunc::kMax:
+        acc[2 * i] = TotalMax(acc[2 * i], oa[2 * i]);
+        break;
+      default:
+        acc[2 * i] += oa[2 * i];
+        acc[2 * i + 1] += oa[2 * i + 1];
+        break;
+    }
+  }
+}
+
 GroupAccum::GroupAccum(size_t key_width, const std::vector<AggExec>* aggs)
     : key_width_(key_width),
       stride_(2 * std::max<size_t>(1, aggs->size())),
@@ -88,37 +137,9 @@ uint32_t GroupAccum::FindOrCreateOrdinal(const uint64_t* key) {
   return it->second;
 }
 
-double* GroupAccum::AppendOrLast(const uint64_t* key) {
-  const size_t n = num_groups();
-  if (n > 0 && std::memcmp(keys_.data() + (n - 1) * key_width_, key,
-                           key_width_ * sizeof(uint64_t)) == 0) {
-    return accs_.data() + (n - 1) * stride_;
-  }
-  AppendGroup(key);
-  return accs_.data() + (num_groups() - 1) * stride_;
-}
-
 double* GroupAccum::ScalarGroup() {
   if (scalar_groups_ == 0) AppendGroup(nullptr);
   return accs_.data();
-}
-
-void GroupAccum::Apply(double* acc, const double* main_delta,
-                       const double* aux_delta) const {
-  for (size_t i = 0; i < aggs_->size(); ++i) {
-    switch ((*aggs_)[i].func) {
-      case AggFunc::kMin:
-        acc[2 * i] = TotalMin(acc[2 * i], main_delta[i]);
-        break;
-      case AggFunc::kMax:
-        acc[2 * i] = TotalMax(acc[2 * i], main_delta[i]);
-        break;
-      default:
-        acc[2 * i] += main_delta[i];
-        acc[2 * i + 1] += aux_delta[i];
-        break;
-    }
-  }
 }
 
 double GroupAccum::Finalize(size_t g, size_t slot) const {
@@ -129,89 +150,18 @@ double GroupAccum::Finalize(size_t g, size_t slot) const {
   return a[2 * slot];
 }
 
+double* GroupAccum::ResetTo(const uint64_t* key) {
+  LH_DCHECK(index_.empty());
+  keys_.assign(key, key + key_width_);
+  accs_.resize(stride_);
+  InitAccs(*aggs_, accs_.data());
+  return accs_.data();
+}
+
 void GroupAccum::MergeFrom(const GroupAccum& other) {
   for (size_t g = 0; g < other.num_groups(); ++g) {
     double* acc = key_width_ == 0 ? ScalarGroup() : FindOrCreate(other.key(g));
-    CombineInto(acc, other.accs(g));
-  }
-}
-
-void GroupAccum::ConcatFrom(const GroupAccum& other) {
-  const size_t start =
-      num_groups() > 0 && other.num_groups() > 0 &&
-              CombineBoundary(num_groups() - 1, other)
-          ? 1
-          : 0;
-  for (size_t g = start; g < other.num_groups(); ++g) {
-    AppendGroup(other.key(g));
-    std::memcpy(accs_.data() + (num_groups() - 1) * stride_, other.accs(g),
-                stride_ * sizeof(double));
-  }
-}
-
-bool GroupAccum::CombineBoundary(size_t g, const GroupAccum& next) {
-  if (std::memcmp(key(g), next.key(0), key_width_ * sizeof(uint64_t)) != 0) {
-    return false;
-  }
-  CombineInto(acc_mut(g), next.accs(0));
-  return true;
-}
-
-void GroupAccum::AppendRun(uint64_t* key, const std::vector<size_t>& patch,
-                           const uint32_t* values, size_t n,
-                           const double* rows) {
-  if (n == 0) return;
-  size_t i = 0;
-  for (size_t d : patch) key[d] = values[0];
-  const size_t last = num_groups();
-  if (last > 0 && std::memcmp(this->key(last - 1), key,
-                              key_width_ * sizeof(uint64_t)) == 0) {
-    CombineInto(acc_mut(last - 1),
-                rows + static_cast<size_t>(values[0]) * stride_);
-    i = 1;
-  }
-  // One resize per run: vector growth is geometric, so the table reserves
-  // ahead of later runs instead of growing group by group.
-  keys_.resize(keys_.size() + (n - i) * key_width_);
-  accs_.resize(accs_.size() + (n - i) * stride_);
-  uint64_t* kout = keys_.data() + last * key_width_;
-  double* aout = accs_.data() + last * stride_;
-  for (; i < n; ++i) {
-    for (size_t d : patch) key[d] = values[i];
-    std::memcpy(kout, key, key_width_ * sizeof(uint64_t));
-    InitAccs(aout);
-    CombineInto(aout, rows + static_cast<size_t>(values[i]) * stride_);
-    kout += key_width_;
-    aout += stride_;
-  }
-}
-
-void GroupAccum::CombineInto(double* acc, const double* oa) const {
-  for (size_t i = 0; i < aggs_->size(); ++i) {
-    switch ((*aggs_)[i].func) {
-      case AggFunc::kMin:
-        acc[2 * i] = TotalMin(acc[2 * i], oa[2 * i]);
-        break;
-      case AggFunc::kMax:
-        acc[2 * i] = TotalMax(acc[2 * i], oa[2 * i]);
-        break;
-      default:
-        acc[2 * i] += oa[2 * i];
-        acc[2 * i + 1] += oa[2 * i + 1];
-        break;
-    }
-  }
-}
-
-void GroupAccum::InitAccs(double* acc) const {
-  for (size_t i = 0; i < stride_; ++i) acc[i] = 0.0;
-  for (size_t i = 0; i < aggs_->size(); ++i) {
-    if ((*aggs_)[i].func == AggFunc::kMin) {
-      // NaN is the top of the total order, so it is MIN's identity.
-      acc[2 * i] = std::numeric_limits<double>::quiet_NaN();
-    } else if ((*aggs_)[i].func == AggFunc::kMax) {
-      acc[2 * i] = -std::numeric_limits<double>::infinity();
-    }
+    CombineAccs(*aggs_, acc, other.accs(g));
   }
 }
 
@@ -223,7 +173,7 @@ void GroupAccum::AppendGroup(const uint64_t* key) {
   }
   const size_t base = accs_.size();
   accs_.resize(base + stride_);
-  InitAccs(accs_.data() + base);
+  InitAccs(*aggs_, accs_.data() + base);
 }
 
 namespace {
@@ -441,32 +391,54 @@ void SizeColumn(OutSource source, size_t n, ResultColumn* col) {
   }
 }
 
-/// The rows one partial contributes: groups [first, num_groups) — `first`
-/// is 1 when its leading group was combined across the boundary — or,
-/// under HAVING, the surviving subset `keep`. They land at `offset`.
-struct PartialRows {
-  size_t first = 0;
-  std::vector<uint32_t> keep;
-  size_t offset = 0;
-};
+/// Runs fn(i) for every i < n: one task each on the global pool when
+/// `parallel` (the caller helps while it waits), else in order on the
+/// calling thread. Tasks must touch disjoint data.
+void ForEachTask(size_t n, bool parallel,
+                 const std::function<void(size_t)>& fn) {
+  if (!parallel) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool& pool = ThreadPool::Global();
+  ThreadPool::TaskGroup group(&pool);
+  for (size_t i = 0; i < n; ++i) pool.Submit(&group, [&fn, i] { fn(i); });
+  group.Wait();
+}
 
-/// Decodes one partial's rows into their slice of `result`'s columns.
-void DecodePartial(const PhysicalPlan& plan,
-                   const std::vector<DimInfo>& dim_infos,
-                   const std::vector<OutColumn>& outs, const GroupAccum& groups,
-                   const PartialRows& rows, QueryResult* result) {
-  const bool having = plan.query.having != nullptr;
+}  // namespace
+
+Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
+                                      const GroupAccum& groups,
+                                      const std::vector<DimInfo>& dim_infos,
+                                      const QueryGuard* guard) {
+  std::vector<uint32_t> keep;
+  const Expr* having = plan.query.having.get();
+  if (having != nullptr) {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      if (EvalHaving(*having, plan, groups, dim_infos, g)) {
+        keep.push_back(static_cast<uint32_t>(g));
+      }
+    }
+  }
+  const size_t total = having != nullptr ? keep.size() : groups.num_groups();
+  // The row bound, before a single output byte is allocated.
+  if (guard != nullptr) LH_RETURN_NOT_OK(guard->CheckRows(total));
+
+  QueryResult result;
+  result.num_rows = total;
   auto for_rows = [&](auto&& emit) {
-    size_t r = rows.offset;
-    if (having) {
-      for (uint32_t g : rows.keep) emit(r++, g);
+    if (having != nullptr) {
+      for (size_t r = 0; r < total; ++r) emit(r, keep[r]);
     } else {
-      for (size_t g = rows.first; g < groups.num_groups(); ++g) emit(r++, g);
+      for (size_t g = 0; g < total; ++g) emit(g, g);
     }
   };
-  for (size_t c = 0; c < outs.size(); ++c) {
-    const OutColumn& oc = outs[c];
-    ResultColumn& col = result->columns[c];
+  for (const OutputItem& out : plan.query.outputs) {
+    ResultColumn col;
+    col.name = out.name;
+    const OutColumn oc = ResolveOutput(out, plan, dim_infos, &col);
+    SizeColumn(oc.source, total, &col);
     auto code = [&](size_t g) {
       return static_cast<uint32_t>(groups.key(g)[oc.index]);
     };
@@ -505,101 +477,271 @@ void DecodePartial(const PhysicalPlan& plan,
         });
         break;
     }
+    result.columns.push_back(std::move(col));
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Append mode.
+
+RowLayout::RowLayout(const PhysicalPlan& plan_in,
+                     const std::vector<DimInfo>& dim_infos_in)
+    : plan(plan_in), dim_infos(dim_infos_in) {
+  direct = plan.query.having == nullptr;
+  for (const OutputItem& out : plan.query.outputs) {
+    ResultColumn typed;
+    const OutColumn oc = ResolveOutput(out, plan, dim_infos, &typed);
+    Column col;
+    col.index = oc.index;
+    col.expr = oc.expr;
+    switch (oc.source) {
+      case OutSource::kIntCode:
+        col.kind = Column::Kind::kInt;
+        col.int_values = oc.dict->int_values().data();
+        break;
+      case OutSource::kStringCode:
+      case OutSource::kString:
+        col.kind = Column::Kind::kCode;
+        break;
+      case OutSource::kAgg:
+        col.kind = Column::Kind::kAgg;
+        break;
+      case OutSource::kExpr:
+        col.kind = Column::Kind::kExpr;
+        direct = false;
+        break;
+      case OutSource::kIntWord:
+      case OutSource::kRealWord:
+        LH_CHECK(false) << "append mode groups by key vertices only";
+        break;
+    }
+    columns.push_back(col);
   }
 }
 
-bool DecodeInParallel(size_t rows, size_t num_partials) {
-  return rows >= kParallelDecodeRows && num_partials > 1;
+RowChunk::RowChunk(const RowLayout* layout)
+    : layout_(layout),
+      cols_(layout->columns.size()),
+      open_(layout->dim_infos.size(), &layout->plan.aggs) {}
+
+void RowChunk::Reserve(size_t rows) {
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    switch (layout_->columns[c].kind) {
+      case RowLayout::Column::Kind::kInt:
+        cols_[c].ints.reserve(rows);
+        break;
+      case RowLayout::Column::Kind::kCode:
+        cols_[c].codes.reserve(rows);
+        break;
+      default:
+        cols_[c].reals.reserve(rows);
+        break;
+    }
+  }
 }
 
-/// Runs fn(i) for every i < n: one task each on the global pool when
-/// `parallel` (the caller helps while it waits), else in order on the
-/// calling thread. Tasks must touch disjoint data.
-void ForEachTask(size_t n, bool parallel,
-                 const std::function<void(size_t)>& fn) {
-  if (!parallel) {
-    for (size_t i = 0; i < n; ++i) fn(i);
+double* RowChunk::Group(const uint64_t* key) {
+  if (is_open_ && std::memcmp(open_.key(0), key,
+                              layout_->dim_infos.size() *
+                                  sizeof(uint64_t)) == 0) {
+    return open_.acc_mut(0);
+  }
+  Close();
+  is_open_ = true;
+  return open_.ResetTo(key);
+}
+
+void RowChunk::Close() {
+  if (!is_open_) return;
+  is_open_ = false;
+  const PhysicalPlan& plan = layout_->plan;
+  if (plan.query.having != nullptr &&
+      !EvalHaving(*plan.query.having, plan, open_, layout_->dim_infos, 0)) {
     return;
   }
-  ThreadPool& pool = ThreadPool::Global();
-  ThreadPool::TaskGroup group(&pool);
-  for (size_t i = 0; i < n; ++i) pool.Submit(&group, [&fn, i] { fn(i); });
-  group.Wait();
+  const uint64_t* key = open_.key(0);
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const RowLayout::Column& col = layout_->columns[c];
+    switch (col.kind) {
+      case RowLayout::Column::Kind::kInt:
+        cols_[c].ints.push_back(col.int_values[key[col.index]]);
+        break;
+      case RowLayout::Column::Kind::kCode:
+        cols_[c].codes.push_back(static_cast<uint32_t>(key[col.index]));
+        break;
+      case RowLayout::Column::Kind::kAgg:
+        cols_[c].reals.push_back(open_.Finalize(0, col.index));
+        break;
+      case RowLayout::Column::Kind::kExpr:
+        cols_[c].reals.push_back(
+            EvalOutputExpr(*col.expr, plan, open_, layout_->dim_infos, 0));
+        break;
+    }
+  }
+  ++num_rows_;
 }
 
-}  // namespace
-
-Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
-                                      const std::vector<GroupAccum*>& partials,
-                                      const std::vector<DimInfo>& dim_infos,
-                                      const QueryGuard* guard,
-                                      obs::TraceSpan* span) {
-  const size_t np = partials.size();
-  std::vector<PartialRows> rows(np);
-  // Boundary merge, one serial pass in partial order: a leading group equal
-  // to the previous non-empty partial's last group folds into that group's
-  // owner — the same combines, in the same order, as ConcatFrom.
-  GroupAccum* owner = nullptr;
-  size_t owner_g = 0;
-  size_t candidates = 0;
-  for (size_t p = 0; p < np; ++p) {
-    GroupAccum& t = *partials[p];
-    const size_t n = t.num_groups();
-    if (n == 0) continue;
-    if (owner != nullptr && owner->CombineBoundary(owner_g, t)) {
-      rows[p].first = 1;
-    }
-    candidates += n - rows[p].first;
-    if (rows[p].first == n) continue;  // its only group joined the owner's
-    owner = &t;
-    owner_g = n - 1;
+void RowChunk::Append(const RowChunk& next) {
+  LH_DCHECK(!is_open_ && !next.is_open_);
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    auto append = [](auto& to, const auto& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
+    append(cols_[c].ints, next.cols_[c].ints);
+    append(cols_[c].codes, next.cols_[c].codes);
+    append(cols_[c].reals, next.cols_[c].reals);
   }
+  num_rows_ += next.num_rows_;
+}
 
-  // HAVING survivors per partial, prefix-summed into row offsets.
-  const Expr* having = plan.query.having.get();
-  if (having != nullptr) {
-    ForEachTask(np, DecodeInParallel(candidates, np), [&](size_t p) {
-      const GroupAccum& t = *partials[p];
-      for (size_t g = rows[p].first; g < t.num_groups(); ++g) {
-        if (EvalHaving(*having, plan, t, dim_infos, g)) {
-          rows[p].keep.push_back(static_cast<uint32_t>(g));
+void RowChunk::CombineOpen(const RowChunk& next) {
+  LH_DCHECK(next.num_rows_ == 0);
+  if (!next.is_open_) return;
+  if (!is_open_) {
+    // Adopted as it is: a group's first partial accumulator is copied,
+    // not combined into an identity.
+    is_open_ = true;
+    open_.ResetTo(next.open_.key(0));
+    std::memcpy(open_.acc_mut(0), next.open_.accs(0),
+                2 * std::max<size_t>(1, layout_->plan.aggs.size()) *
+                    sizeof(double));
+    return;
+  }
+  LH_DCHECK(std::memcmp(open_.key(0), next.open_.key(0),
+                        layout_->dim_infos.size() * sizeof(uint64_t)) == 0);
+  CombineAccs(layout_->plan.aggs, open_.acc_mut(0), next.open_.accs(0));
+}
+
+void RowChunk::WriteRun(const uint64_t* key, int pos, const uint32_t* values,
+                        size_t n, const double* accs, size_t stride) {
+  LH_DCHECK(layout_->direct && !is_open_);
+  const std::vector<AggExec>& aggs = layout_->plan.aggs;
+  const size_t base = num_rows_;
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const RowLayout::Column& col = layout_->columns[c];
+    const bool varies = (col.kind == RowLayout::Column::Kind::kInt ||
+                         col.kind == RowLayout::Column::Kind::kCode) &&
+                        layout_->dim_infos[col.index].vertex_pos == pos;
+    switch (col.kind) {
+      case RowLayout::Column::Kind::kInt: {
+        cols_[c].ints.resize(base + n);
+        int64_t* out = cols_[c].ints.data() + base;
+        if (varies) {
+          for (size_t i = 0; i < n; ++i) out[i] = col.int_values[values[i]];
+        } else {
+          std::fill(out, out + n, col.int_values[key[col.index]]);
         }
+        break;
       }
-    });
+      case RowLayout::Column::Kind::kCode: {
+        cols_[c].codes.resize(base + n);
+        uint32_t* out = cols_[c].codes.data() + base;
+        if (varies) {
+          std::copy(values, values + n, out);
+        } else {
+          std::fill(out, out + n, static_cast<uint32_t>(key[col.index]));
+        }
+        break;
+      }
+      case RowLayout::Column::Kind::kAgg: {
+        cols_[c].reals.resize(base + n);
+        double* out = cols_[c].reals.data() + base;
+        const size_t s = col.index;
+        auto row = [&](size_t i) {
+          return accs + static_cast<size_t>(values[i]) * stride;
+        };
+        // The identity combined with the row, then finalized: the same
+        // ops, in the same order, as a fresh group's CombineAccs.
+        switch (aggs[s].func) {
+          case AggFunc::kMin:
+            for (size_t i = 0; i < n; ++i) {
+              out[i] = TotalMin(std::numeric_limits<double>::quiet_NaN(),
+                                row(i)[2 * s]);
+            }
+            break;
+          case AggFunc::kMax:
+            for (size_t i = 0; i < n; ++i) {
+              out[i] = TotalMax(-std::numeric_limits<double>::infinity(),
+                                row(i)[2 * s]);
+            }
+            break;
+          case AggFunc::kAvg:
+            for (size_t i = 0; i < n; ++i) {
+              const double aux = 0.0 + row(i)[2 * s + 1];
+              out[i] = aux == 0 ? 0 : (0.0 + row(i)[2 * s]) / aux;
+            }
+            break;
+          default:
+            for (size_t i = 0; i < n; ++i) out[i] = 0.0 + row(i)[2 * s];
+            break;
+        }
+        break;
+      }
+      case RowLayout::Column::Kind::kExpr:
+        LH_CHECK(false) << "bulk row writer on a non-direct layout";
+        break;
+    }
   }
-  size_t total = 0;
-  for (size_t p = 0; p < np; ++p) {
-    rows[p].offset = total;
-    total += having != nullptr
-                 ? rows[p].keep.size()
-                 : partials[p]->num_groups() - rows[p].first;
-  }
+  num_rows_ += n;
+}
 
+Result<QueryResult> ConcatRows(const RowLayout& layout,
+                               const std::vector<const RowChunk*>& chunks,
+                               const QueryGuard* guard, obs::TraceSpan* span) {
+  const size_t nc = chunks.size();
+  std::vector<size_t> offset(nc);
+  size_t total = 0;
+  for (size_t i = 0; i < nc; ++i) {
+    offset[i] = total;
+    total += chunks[i]->num_rows();
+  }
   // The row bound, before a single output byte is allocated.
   if (guard != nullptr) LH_RETURN_NOT_OK(guard->CheckRows(total));
 
   QueryResult result;
   result.num_rows = total;
   std::vector<OutColumn> outs;
-  for (const OutputItem& out : plan.query.outputs) {
+  for (const OutputItem& out : layout.plan.query.outputs) {
     ResultColumn col;
     col.name = out.name;
-    outs.push_back(ResolveOutput(out, plan, dim_infos, &col));
+    outs.push_back(ResolveOutput(out, layout.plan, layout.dim_infos, &col));
     result.columns.push_back(std::move(col));
   }
   // Sizing zero-fills fresh pages, which on a large result costs about as
-  // much as the decode, so a parallel materialize sizes its columns as
-  // tasks too.
-  const bool parallel = DecodeInParallel(total, np);
+  // much as the copy, so a parallel concat sizes its columns as tasks too.
+  const bool parallel = total >= kParallelConcatRows && nc > 1;
   ForEachTask(outs.size(), parallel, [&](size_t c) {
     SizeColumn(outs[c].source, total, &result.columns[c]);
   });
-  ForEachTask(np, parallel, [&](size_t p) {
-    DecodePartial(plan, dim_infos, outs, *partials[p], rows[p],
-                  &result);
+  ForEachTask(nc, parallel, [&](size_t i) {
+    const RowChunk& chunk = *chunks[i];
+    for (size_t c = 0; c < outs.size(); ++c) {
+      const ResultColumn& from = chunk.columns()[c];
+      ResultColumn& to = result.columns[c];
+      const size_t at = offset[i];
+      switch (outs[c].source) {
+        case OutSource::kIntCode:
+          std::copy(from.ints.begin(), from.ints.end(), to.ints.begin() + at);
+          break;
+        case OutSource::kStringCode:
+          std::copy(from.codes.begin(), from.codes.end(),
+                    to.codes.begin() + at);
+          break;
+        case OutSource::kString:
+          for (size_t r = 0; r < from.codes.size(); ++r) {
+            to.strs[at + r] = outs[c].dict->DecodeString(from.codes[r]);
+          }
+          break;
+        default:
+          std::copy(from.reals.begin(), from.reals.end(),
+                    to.reals.begin() + at);
+          break;
+      }
+    }
   });
   if (span != nullptr) {
-    span->AddMetric("chunks", static_cast<double>(np));
+    span->AddMetric("chunks", static_cast<double>(nc));
     span->AddMetric("parallel", parallel ? 1 : 0);
   }
   return result;

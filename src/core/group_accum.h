@@ -54,9 +54,23 @@ struct DimInfo {
 DimInfo ClassifyDim(const GroupDimExec& dim, const PhysicalPlan& plan,
                     const Catalog& catalog, bool join_path);
 
+/// The per-aggregate semiring ops on one accumulator row (a main/aux pair
+/// of doubles per aggregate slot). Every group table and every append-mode
+/// open group folds through these, so all paths share one FP order rule.
+///
+/// Sets `acc` to the identity of every aggregate.
+void InitAccs(const std::vector<AggExec>& aggs, double* acc);
+/// Applies one row's deltas (per-aggregate semiring op).
+void ApplyDeltas(const std::vector<AggExec>& aggs, double* acc,
+                 const double* main_delta, const double* aux_delta);
+/// Combines accumulator row `oa` into `acc`: ApplyDeltas with main/aux
+/// read from `oa`.
+void CombineAccs(const std::vector<AggExec>& aggs, double* acc,
+                 const double* oa);
+
 /// Group keys (fixed-width uint64 words) plus 2 doubles (main, aux) per
-/// aggregate slot. Hash mode handles arbitrary key arrival; append mode
-/// exploits grouped arrival.
+/// aggregate slot, grouped by hash (any key arrival order), or one scalar
+/// group when the key is empty.
 class GroupAccum {
  public:
   GroupAccum(size_t key_width, const std::vector<AggExec>* aggs);
@@ -73,33 +87,27 @@ class GroupAccum {
   /// not), so callers may cache them — see the fused scan kernel's dense
   /// group cache (core/expr_kernels.h).
   uint32_t FindOrCreateOrdinal(const uint64_t* key);
-  double* AppendOrLast(const uint64_t* key);
   double* ScalarGroup();
   /// Mutable accumulator row of group `g` (invalidated by inserts).
   double* acc_mut(size_t g) { return accs_.data() + g * stride_; }
 
-  /// Applies one row's deltas (per-aggregate semiring op).
+  /// Applies one row's deltas to `acc` (ApplyDeltas over this table's
+  /// aggregates).
   void Apply(double* acc, const double* main_delta,
-             const double* aux_delta) const;
-  /// Append-mode flush of one sorted run: for each i, the group `key` with
-  /// every word in `patch` set to `values[i]` absorbs the accumulator row
-  /// `rows + values[i] * stride` (main/aux pairs, as Apply's deltas). `values` is strictly
-  /// ascending and `patch` non-empty, so only the first value can land on
-  /// the current last group (AppendOrLast's rule); the rest append with one
-  /// table growth. `key` is scratch (its patched words are overwritten).
-  void AppendRun(uint64_t* key, const std::vector<size_t>& patch,
-                 const uint32_t* values, size_t n, const double* rows);
+             const double* aux_delta) const {
+    ApplyDeltas(*aggs_, acc, main_delta, aux_delta);
+  }
 
   /// Finalized value of aggregate `slot` for group `g` (AVG divides).
   double Finalize(size_t g, size_t slot) const;
 
   void MergeFrom(const GroupAccum& other);
-  /// Concatenates grouped tables arriving in global key order.
-  void ConcatFrom(const GroupAccum& other);
-  /// The boundary rule of grouped concatenation: when `next`'s first key
-  /// equals group `g`'s key, combines next's first group into `g` and
-  /// returns true.
-  bool CombineBoundary(size_t g, const GroupAccum& next);
+
+  /// Empties an unindexed table (one never probed by FindOrCreate) and
+  /// starts its one group, `key`, at the identity; returns that group's
+  /// accumulator row. RowChunk keeps its open group in such a table, so
+  /// EvalHaving and EvalOutputExpr read it as group 0.
+  double* ResetTo(const uint64_t* key);
 
  private:
   struct U64VecHash {
@@ -113,10 +121,6 @@ class GroupAccum {
     }
   };
 
-  /// Combines accumulator row `oa` (this table's layout) into `acc`; the
-  /// same per-aggregate op as Apply with main/aux read from `oa`.
-  void CombineInto(double* acc, const double* oa) const;
-  void InitAccs(double* acc) const;
   void AppendGroup(const uint64_t* key);
 
   size_t key_width_;
@@ -139,26 +143,109 @@ bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
                 const GroupAccum& groups,
                 const std::vector<DimInfo>& dim_infos, size_t g);
 
-/// Output rows at or above which MaterializeGroups decodes its partials
-/// as pool tasks, one per partial; smaller results decode on the calling
-/// thread. A function of the row count alone, never of the thread count.
-inline constexpr size_t kParallelDecodeRows = size_t{1} << 16;
-
-/// Decodes group tables into the query's output columns, applying the
-/// query's HAVING filter when present. `partials` is one table, or
-/// append-mode chunk partials in global key order: a partial whose first
-/// key equals the previous non-empty partial's last key has that group
-/// combined into the earlier one first (ConcatFrom's boundary rule, in
-/// partial order), so the output — row order included — is bit-identical
-/// to decoding their concatenation. Each partial then decodes straight
-/// into its slice of the output columns. The row bound of `guard`
-/// (nullable) is checked on the post-HAVING row count before any output
-/// column is allocated. `span` (nullable) receives the `chunks` and
-/// `parallel` metrics.
+/// Decodes one hash-mode (or scalar) group table into the query's output
+/// columns, applying the query's HAVING filter when present. The row bound
+/// of `guard` (nullable) is checked on the post-HAVING row count before
+/// any output column is allocated. The WCOJ executor's hash mode, the scan
+/// path and the pairwise baseline engines all materialize through it.
 [[nodiscard]] Result<QueryResult> MaterializeGroups(
-    const PhysicalPlan& plan, const std::vector<GroupAccum*>& partials,
-    const std::vector<DimInfo>& dim_infos, const QueryGuard* guard = nullptr,
-    obs::TraceSpan* span = nullptr);
+    const PhysicalPlan& plan, const GroupAccum& groups,
+    const std::vector<DimInfo>& dim_infos, const QueryGuard* guard = nullptr);
+
+// ---------------------------------------------------------------------------
+// Append mode: every GROUP BY dimension is a key vertex, so groups arrive
+// grouped and in key order, and each chunk writes finished groups straight
+// out as result rows.
+
+/// How an append-mode query writes its result rows, resolved once per
+/// query: one column per output item.
+struct RowLayout {
+  struct Column {
+    enum class Kind : uint8_t {
+      kInt,   // integer key vertex, decoded through `int_values`
+      kCode,  // string key vertex: its dictionary code
+      kAgg,   // finalized aggregate slot
+      kExpr,  // post-aggregation output expression
+    };
+    Kind kind = Kind::kExpr;
+    size_t index = 0;  // group dimension (kInt, kCode) or aggregate slot
+    const int64_t* int_values = nullptr;  // kInt: the domain's sorted values
+    const Expr* expr = nullptr;           // kExpr
+  };
+
+  RowLayout(const PhysicalPlan& plan, const std::vector<DimInfo>& dim_infos);
+
+  const PhysicalPlan& plan;
+  const std::vector<DimInfo>& dim_infos;
+  std::vector<Column> columns;
+  /// No HAVING and no output expression: every column is a key or an
+  /// aggregate, so RowChunk's bulk writers apply.
+  bool direct = true;
+};
+
+/// One append-mode chunk's output: its finished groups as result rows, one
+/// typed vector per output column (`ints` for kInt, `codes` for kCode,
+/// `reals` for kAgg and kExpr), in key order. The only raw accumulator
+/// state is the one group still accumulating; it closes — HAVING, then one
+/// row — when a different key arrives or on Close().
+class RowChunk {
+ public:
+  explicit RowChunk(const RowLayout* layout);
+
+  size_t num_rows() const { return num_rows_; }
+  const std::vector<ResultColumn>& columns() const { return cols_; }
+  void Reserve(size_t rows);
+
+  /// The accumulator row of group `key`: the open group when `key` is its
+  /// key, else a new open group at the identity, after the open one closes.
+  double* Group(const uint64_t* key);
+  /// Closes the open group, if any.
+  void Close();
+
+  /// Appends `next`'s rows after this chunk's; both must be closed.
+  void Append(const RowChunk& next);
+  /// Combines `next`'s open group (if any) into this chunk's open group,
+  /// which must have the same key, or adopts it when this chunk has none.
+  /// `next` must have no rows: it held one group.
+  void CombineOpen(const RowChunk& next);
+
+  /// Bulk writer of `n` groups under a direct layout, with no group open:
+  /// group i's key is `key` with the words of the dimensions at attribute
+  /// position `pos` set to values[i], and its accumulator is the identity
+  /// combined with row `accs + values[i] * stride` (CombineAccs), so each
+  /// written aggregate is bit-identical to the fold of that row into a
+  /// fresh group. `values` is strictly ascending.
+  void WriteRun(const uint64_t* key, int pos, const uint32_t* values,
+                size_t n, const double* accs, size_t stride);
+  /// WriteRun for one group: `key` with accumulator identity + `acc`.
+  void WriteRow(const uint64_t* key, const double* acc) {
+    const uint32_t zero = 0;
+    WriteRun(key, -1, &zero, 1, acc, 0);
+  }
+
+ private:
+  const RowLayout* layout_;
+  size_t num_rows_ = 0;
+  std::vector<ResultColumn> cols_;
+  GroupAccum open_;  // group 0, when is_open_: the group still accumulating
+  bool is_open_ = false;
+};
+
+/// Output rows at or above which ConcatRows sizes its columns and copies
+/// its chunks as pool tasks, one per column and per chunk; smaller results
+/// concatenate on the calling thread. A function of the row count alone,
+/// never of the thread count.
+inline constexpr size_t kParallelConcatRows = size_t{1} << 16;
+
+/// Concatenates closed append-mode chunks, in order, into the query's
+/// output columns: a prefix sum of the chunk row counts, the row bound of
+/// `guard` (nullable) on the total before any allocation, then each chunk
+/// copies into its slice (string codes decode here unless the query keeps
+/// them encoded). `span` (nullable) receives the `chunks` and `parallel`
+/// metrics.
+[[nodiscard]] Result<QueryResult> ConcatRows(
+    const RowLayout& layout, const std::vector<const RowChunk*>& chunks,
+    const QueryGuard* guard = nullptr, obs::TraceSpan* span = nullptr);
 
 /// Applies ORDER BY and LIMIT to a materialized result (all engines share
 /// this final step).

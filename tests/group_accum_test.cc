@@ -1,4 +1,6 @@
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,21 +69,6 @@ TEST(GroupAccumTest, AvgDividesByAux) {
   EXPECT_DOUBLE_EQ(g.Finalize(0, 0), 15.0);
 }
 
-TEST(GroupAccumTest, AppendModeDetectsRepeats) {
-  auto aggs = MakeAggs({AggFunc::kSum});
-  GroupAccum g(2, &aggs);
-  const double main[] = {1.0};
-  const double aux[] = {0.0};
-  uint64_t k1[] = {1, 2};
-  uint64_t k2[] = {1, 3};
-  g.Apply(g.AppendOrLast(k1), main, aux);
-  g.Apply(g.AppendOrLast(k1), main, aux);
-  g.Apply(g.AppendOrLast(k2), main, aux);
-  ASSERT_EQ(g.num_groups(), 2u);
-  EXPECT_DOUBLE_EQ(g.Finalize(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(g.Finalize(1, 0), 1.0);
-}
-
 TEST(GroupAccumTest, MergeCombinesAllFuncs) {
   auto aggs =
       MakeAggs({AggFunc::kSum, AggFunc::kMin, AggFunc::kMax, AggFunc::kAvg});
@@ -99,23 +86,6 @@ TEST(GroupAccumTest, MergeCombinesAllFuncs) {
   EXPECT_DOUBLE_EQ(a.Finalize(0, 1), -1.0);  // min
   EXPECT_DOUBLE_EQ(a.Finalize(0, 2), 7.0);   // max
   EXPECT_DOUBLE_EQ(a.Finalize(0, 3), 6.0);   // avg
-}
-
-TEST(GroupAccumTest, ConcatMergesBoundaryGroup) {
-  auto aggs = MakeAggs({AggFunc::kSum});
-  GroupAccum a(1, &aggs), b(1, &aggs);
-  const double main[] = {1.0};
-  const double aux[] = {0.0};
-  uint64_t k1 = 1, k2 = 2, k3 = 3;
-  a.Apply(a.AppendOrLast(&k1), main, aux);
-  a.Apply(a.AppendOrLast(&k2), main, aux);
-  // b starts with the same group a ended with.
-  b.Apply(b.AppendOrLast(&k2), main, aux);
-  b.Apply(b.AppendOrLast(&k3), main, aux);
-  a.ConcatFrom(b);
-  ASSERT_EQ(a.num_groups(), 3u);
-  EXPECT_DOUBLE_EQ(a.Finalize(1, 0), 2.0);  // k2 merged across the boundary
-  EXPECT_DOUBLE_EQ(a.Finalize(2, 0), 1.0);
 }
 
 TEST(GroupAccumTest, ScalarGroupSingleton) {
@@ -136,60 +106,18 @@ TEST(BitcastTest, RoundTrip) {
   }
 }
 
-TEST(GroupAccumTest, AppendRunMatchesPerValueAppend) {
-  auto aggs = MakeAggs({AggFunc::kSum, AggFunc::kMin, AggFunc::kMax,
-                        AggFunc::kAvg});
-  const size_t stride = 2 * aggs.size();
-  // Accumulator rows indexed by last-vertex value (the relaxed scratch).
-  std::vector<double> rows(10 * stride);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    rows[i] = (i % 3 == 0 ? -0.0 : 1.0 / static_cast<double>(i + 1));
-  }
-  // Row m as Apply's deltas: main[i] = row[2i], aux[i] = row[2i + 1].
-  auto apply_row = [&](GroupAccum* g, const uint64_t* key, uint32_t m) {
-    std::vector<double> main(aggs.size()), aux(aggs.size());
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      main[i] = rows[m * stride + 2 * i];
-      aux[i] = rows[m * stride + 2 * i + 1];
-    }
-    g->Apply(g->AppendOrLast(key), main.data(), aux.data());
-  };
-  const std::vector<uint32_t> run = {2, 5, 6, 9};
-  GroupAccum bulk(2, &aggs), single(2, &aggs);
-  // Both tables already end in group {7, 2}: the run's first value lands
-  // on it, the rest append.
-  const uint64_t seed_key[] = {7, 2};
-  apply_row(&bulk, seed_key, 4);
-  apply_row(&single, seed_key, 4);
-
-  uint64_t key[] = {7, 0};
-  bulk.AppendRun(key, {1}, run.data(), run.size(), rows.data());
-  for (uint32_t m : run) {
-    const uint64_t k[] = {7, m};
-    apply_row(&single, k, m);
-  }
-  ASSERT_EQ(bulk.num_groups(), 4u);
-  ASSERT_EQ(single.num_groups(), bulk.num_groups());
-  for (size_t g = 0; g < bulk.num_groups(); ++g) {
-    EXPECT_EQ(std::memcmp(bulk.key(g), single.key(g), 2 * sizeof(uint64_t)),
-              0);
-    EXPECT_EQ(std::memcmp(bulk.accs(g), single.accs(g),
-                          stride * sizeof(double)),
-              0)
-        << "group " << g;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// MaterializeGroups over a list of append-mode partials.
+// Append mode: RowChunk result rows and ConcatRows.
 
 /// A two-relation join whose GROUP BY dimensions are both key vertices —
-/// a string one (a.s) and an integer one (b.j) — so the partials built by
+/// a string one (a.s) and an integer one (b.j) — so the chunks built by
 /// hand below are shaped exactly like the executor's append-mode chunks.
-class MaterializePartialsTest : public ::testing::Test {
+class RowChunkTest : public ::testing::Test {
  protected:
   static constexpr int kStrings = 5;
   static constexpr int kInts = 20000;
+  static constexpr char kExprSelect[] =
+      "SELECT a.s, b.j, sum(a.v * b.w), b.j + 1";
 
   void SetUp() override {
     Table* a = catalog_
@@ -216,11 +144,13 @@ class MaterializePartialsTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.Finalize().ok());
   }
 
-  /// Plans `having` (may be empty) over the join and classifies its dims.
-  void Plan(const std::string& having, bool keep_strings_encoded = false) {
+  /// Plans `select` over the join with `having` (may be empty), classifies
+  /// its dims as the executor does (a.s at attribute position 0, b.j at 2)
+  /// and resolves the row layout.
+  void Plan(const std::string& select, const std::string& having,
+            bool keep_strings_encoded = false) {
     std::string sql =
-        "SELECT a.s, b.j, sum(a.v * b.w), b.j + 1 FROM a, b "
-        "WHERE a.x = b.x GROUP BY a.s, b.j";
+        select + " FROM a, b WHERE a.x = b.x GROUP BY a.s, b.j";
     if (!having.empty()) sql += " HAVING " + having;
     auto parsed = ParseSelect(sql);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -230,12 +160,15 @@ class MaterializePartialsTest : public ::testing::Test {
     options.keep_strings_encoded = keep_strings_encoded;
     auto plan = BuildPlan(bound.TakeValue(), catalog_, options);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    layout_.reset();
     plan_ = std::make_unique<PhysicalPlan>(plan.TakeValue());
     dims_.clear();
     for (const GroupDimExec& d : plan_->dims) {
       dims_.push_back(ClassifyDim(d, *plan_, catalog_, /*join_path=*/true));
       ASSERT_EQ(dims_.back().kind, DimKind::kKeyVertex);
+      dims_.back().vertex_pos = static_cast<int>(2 * (dims_.size() - 1));
     }
+    layout_ = std::make_unique<RowLayout>(*plan_, dims_);
   }
 
   struct Row {
@@ -243,33 +176,47 @@ class MaterializePartialsTest : public ::testing::Test {
     double v;
   };
 
-  /// One partial per row list, each row appended the way a chunk run does.
-  std::vector<std::unique_ptr<GroupAccum>> MakePartials(
-      const std::vector<std::vector<Row>>& chunks) {
-    std::vector<std::unique_ptr<GroupAccum>> out;
+  /// Folds `rows` into `chunk` the way a chunk run does: each row's delta
+  /// goes into its group, and the group closes when the key changes.
+  void Fold(const std::vector<Row>& rows, RowChunk* chunk) const {
     const double aux[] = {0.0};
-    for (const auto& rows : chunks) {
-      out.push_back(std::make_unique<GroupAccum>(2, &plan_->aggs));
-      for (const Row& r : rows) {
-        const uint64_t key[] = {r.s, r.j};
-        const double main[] = {r.v};
-        out.back()->Apply(out.back()->AppendOrLast(key), main, aux);
-      }
+    for (const Row& r : rows) {
+      const uint64_t key[] = {r.s, r.j};
+      const double main[] = {r.v};
+      ApplyDeltas(plan_->aggs, chunk->Group(key), main, aux);
+    }
+  }
+
+  /// One closed chunk per row list.
+  std::vector<std::unique_ptr<RowChunk>> MakeChunks(
+      const std::vector<std::vector<Row>>& lists) const {
+    std::vector<std::unique_ptr<RowChunk>> out;
+    for (const auto& rows : lists) {
+      out.push_back(std::make_unique<RowChunk>(layout_.get()));
+      Fold(rows, out.back().get());
+      out.back()->Close();
     }
     return out;
   }
 
-  /// Materializes `chunks` as a partial list and, as the reference, as one
-  /// ConcatFrom-folded table; returns both.
+  static std::vector<const RowChunk*> View(
+      const std::vector<std::unique_ptr<RowChunk>>& chunks) {
+    std::vector<const RowChunk*> list;
+    for (const auto& c : chunks) list.push_back(c.get());
+    return list;
+  }
+
+  /// Concatenates `lists` as chunks and, as the reference, decodes one
+  /// hash-mode table fed the same rows in the same order (groups never
+  /// repeat across lists, so its insertion order is the rows' key order);
+  /// returns both. `parallel` (nullable) receives the concat's metric.
   std::pair<QueryResult, QueryResult> Both(
-      const std::vector<std::vector<Row>>& chunks,
+      const std::vector<std::vector<Row>>& lists,
       double* parallel = nullptr) {
-    auto parts = MakePartials(chunks);
-    std::vector<GroupAccum*> list;
-    for (const auto& p : parts) list.push_back(p.get());
+    auto chunks = MakeChunks(lists);
     obs::Trace trace;
     obs::TraceSpan span(&trace, "materialize");
-    auto got = MaterializeGroups(*plan_, list, dims_, nullptr, &span);
+    auto got = ConcatRows(*layout_, View(chunks), nullptr, &span);
     span.End();
     EXPECT_TRUE(got.ok()) << got.status().ToString();
     if (parallel != nullptr) {
@@ -278,10 +225,16 @@ class MaterializePartialsTest : public ::testing::Test {
         if (name == "parallel") *parallel = value;
       }
     }
-    auto fresh = MakePartials(chunks);
     GroupAccum whole(2, &plan_->aggs);
-    for (const auto& p : fresh) whole.ConcatFrom(*p);
-    auto want = MaterializeGroups(*plan_, {&whole}, dims_);
+    const double aux[] = {0.0};
+    for (const auto& rows : lists) {
+      for (const Row& r : rows) {
+        const uint64_t key[] = {r.s, r.j};
+        const double main[] = {r.v};
+        whole.Apply(whole.FindOrCreate(key), main, aux);
+      }
+    }
+    auto want = MaterializeGroups(*plan_, whole, dims_);
     EXPECT_TRUE(want.ok()) << want.status().ToString();
     return {got.TakeValue(), want.TakeValue()};
   }
@@ -308,12 +261,30 @@ class MaterializePartialsTest : public ::testing::Test {
   Catalog catalog_;
   std::unique_ptr<PhysicalPlan> plan_;
   std::vector<DimInfo> dims_;
+  std::unique_ptr<RowLayout> layout_;
 };
 
-TEST_F(MaterializePartialsTest, MergesEqualKeysAcrossChunkBoundary) {
-  Plan("");
-  auto [got, want] = Both({{{0, 0, 1.0}, {0, 1, 2.0}},
-                           {{0, 1, 0.5}, {1, 0, 3.0}}});
+TEST_F(RowChunkTest, OpenGroupContinuesUntilKeyChanges) {
+  Plan(kExprSelect, "");
+  EXPECT_FALSE(layout_->direct);  // b.j + 1 is an output expression
+  RowChunk chunk(layout_.get());
+  Fold({{0, 2, 1.0}, {0, 2, 1.0}}, &chunk);
+  EXPECT_EQ(chunk.num_rows(), 0u);  // the group is still open
+  Fold({{0, 3, 1.0}}, &chunk);
+  ASSERT_EQ(chunk.num_rows(), 1u);
+  chunk.Close();
+  chunk.Close();  // idempotent
+  ASSERT_EQ(chunk.num_rows(), 2u);
+  EXPECT_EQ(chunk.columns()[0].codes, (std::vector<uint32_t>{0, 0}));
+  EXPECT_EQ(chunk.columns()[1].ints, (std::vector<int64_t>{20, 30}));
+  EXPECT_EQ(chunk.columns()[2].reals, (std::vector<double>{2.0, 1.0}));
+  EXPECT_EQ(chunk.columns()[3].reals, (std::vector<double>{21.0, 31.0}));
+}
+
+TEST_F(RowChunkTest, ConcatKeepsChunkOrderThenKeyOrder) {
+  Plan(kExprSelect, "");
+  auto [got, want] = Both({{{0, 0, 1.0}, {0, 1, 2.0}, {0, 1, 0.5}},
+                           {{1, 0, 3.0}}});
   ExpectBitIdentical(got, want);
   ASSERT_EQ(got.num_rows, 3u);
   EXPECT_EQ(got.columns[0].strs,
@@ -323,46 +294,127 @@ TEST_F(MaterializePartialsTest, MergesEqualKeysAcrossChunkBoundary) {
   EXPECT_EQ(got.columns[3].reals, (std::vector<double>{1.0, 11.0, 1.0}));
 }
 
-TEST_F(MaterializePartialsTest, BoundaryChainsThroughEmptyAndOneGroupChunks) {
-  Plan("");
-  // Group (0, 1) spans four chunks with an empty chunk in between; the
-  // magnitudes make any other combine order show up in the bits.
-  auto [got, want] = Both({{{0, 0, 1.0}, {0, 1, 1e16}},
-                           {},
-                           {{0, 1, 1.0}},
-                           {},
-                           {{0, 1, -1e16}, {2, 2, 4.0}},
-                           {}});
-  ExpectBitIdentical(got, want);
-  ASSERT_EQ(got.num_rows, 3u);
-  EXPECT_EQ(got.columns[2].reals,
-            (std::vector<double>{1.0, (1e16 + 1.0) + -1e16, 4.0}));
+/// A skew split of one group: the sub-ranges' open groups combine into
+/// the parent's in sub-range order, empty sub-ranges skipped, the first
+/// adopted as it is; the magnitudes make any other order show in the bits.
+TEST_F(RowChunkTest, CombineOpenMergesSubRangeGroup) {
+  Plan(kExprSelect, "");
+  const std::vector<std::vector<Row>> subs = {
+      {}, {{0, 1, 1e16}}, {}, {{0, 1, 1.0}}, {{0, 1, -1e16}}, {}};
+  RowChunk parent(layout_.get());
+  for (const auto& rows : subs) {
+    RowChunk sub(layout_.get());
+    Fold(rows, &sub);
+    parent.CombineOpen(sub);
+  }
+  EXPECT_EQ(parent.num_rows(), 0u);
+  parent.Close();
+  ASSERT_EQ(parent.num_rows(), 1u);
+  EXPECT_EQ(BitcastDouble(parent.columns()[2].reals[0]),
+            BitcastDouble((1e16 + 1.0) + -1e16));
+  EXPECT_EQ(parent.columns()[1].ints, (std::vector<int64_t>{10}));
 }
 
-TEST_F(MaterializePartialsTest, HavingDropsRowsOnBothSidesOfBoundary) {
-  Plan("sum(a.v * b.w) > 1.5");
-  // (0, 1) survives only as the boundary combine (1 + 1); (0, 0) before
-  // the boundary and (1, 0) after it are dropped.
-  auto [got, want] = Both({{{0, 0, 1.0}, {0, 1, 1.0}},
-                           {{0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 5.0}}});
-  ExpectBitIdentical(got, want);
-  ASSERT_EQ(got.num_rows, 2u);
-  EXPECT_EQ(got.columns[1].ints, (std::vector<int64_t>{10, 10}));
-  EXPECT_EQ(got.columns[2].reals, (std::vector<double>{2.0, 5.0}));
+TEST_F(RowChunkTest, CombineOpenChainsThroughEmptySubRanges) {
+  Plan(kExprSelect, "");
+  RowChunk parent(layout_.get());
+  for (int i = 0; i < 3; ++i) {
+    RowChunk empty(layout_.get());
+    parent.CombineOpen(empty);
+  }
+  parent.Close();
+  EXPECT_EQ(parent.num_rows(), 0u);  // no sub-range reached a leaf
+  RowChunk one(layout_.get());
+  Fold({{2, 2, 4.0}}, &one);
+  parent.CombineOpen(one);
+  RowChunk empty(layout_.get());
+  parent.CombineOpen(empty);
+  parent.Close();
+  ASSERT_EQ(parent.num_rows(), 1u);
+  EXPECT_EQ(parent.columns()[2].reals, (std::vector<double>{4.0}));
 }
 
-TEST_F(MaterializePartialsTest, StringKeyVertexDecodesOrStaysEncoded) {
-  const std::vector<std::vector<Row>> chunks = {{{4, 3, 1.0}},
-                                                {{4, 3, 2.0}, {3, 0, 1.0}}};
-  Plan("");
-  auto [text, text_ref] = Both(chunks);
+TEST_F(RowChunkTest, HavingFiltersAtClose) {
+  Plan(kExprSelect, "sum(a.v * b.w) > 1.5");
+  // (0, 1) survives only as the combined group (1 + 1); (0, 0) before it
+  // and (1, 0) after it are dropped as they close.
+  RowChunk chunk(layout_.get());
+  Fold({{0, 0, 1.0}, {0, 1, 1.0}}, &chunk);
+  RowChunk sub(layout_.get());
+  Fold({{0, 1, 1.0}}, &sub);
+  chunk.CombineOpen(sub);
+  Fold({{1, 0, 1.0}, {1, 1, 5.0}}, &chunk);
+  chunk.Close();
+  ASSERT_EQ(chunk.num_rows(), 2u);
+  EXPECT_EQ(chunk.columns()[1].ints, (std::vector<int64_t>{10, 10}));
+  EXPECT_EQ(chunk.columns()[2].reals, (std::vector<double>{2.0, 5.0}));
+}
+
+/// The bulk writer equals a fresh group per value folded through Group and
+/// CombineAccs, bit for bit, for every aggregate (-0.0 included: a SUM of
+/// -0.0 is written as +0.0, as the identity-initialized fold gives).
+TEST_F(RowChunkTest, WriteRunMatchesPerGroupFold) {
+  Plan("SELECT a.s, b.j, sum(a.v * b.w), min(a.v * b.w), max(a.v * b.w), "
+       "avg(a.v * b.w), count(*)",
+       "");
+  ASSERT_TRUE(layout_->direct);
+  const std::vector<AggExec>& aggs = plan_->aggs;
+  const size_t stride = 2 * aggs.size();
+  // Accumulator rows indexed by the last vertex's code (the relaxed
+  // scratch).
+  std::vector<double> rows(10 * stride);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = i % 3 == 0 ? -0.0 : 1.0 / static_cast<double>(i + 1);
+  }
+  rows[4 * stride] = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(std::signbit(rows[3 * stride]));  // value 3's SUM is -0.0
+  const std::vector<uint32_t> run = {3, 4, 5, 9};
+  const uint64_t key[] = {3, 0};  // word 1 (b.j, position 2) varies
+
+  RowChunk bulk(layout_.get()), single(layout_.get());
+  bulk.WriteRun(key, 2, run.data(), run.size(), rows.data(), stride);
+  for (uint32_t m : run) {
+    const uint64_t k[] = {3, m};
+    CombineAccs(aggs, single.Group(k), rows.data() + m * stride);
+  }
+  single.Close();
+  ASSERT_EQ(bulk.num_rows(), run.size());
+  ASSERT_EQ(single.num_rows(), run.size());
+  for (size_t c = 0; c < bulk.columns().size(); ++c) {
+    const ResultColumn& x = bulk.columns()[c];
+    const ResultColumn& y = single.columns()[c];
+    EXPECT_EQ(x.ints, y.ints) << c;
+    EXPECT_EQ(x.codes, y.codes) << c;
+    ASSERT_EQ(x.reals.size(), y.reals.size());
+    for (size_t i = 0; i < x.reals.size(); ++i) {
+      EXPECT_EQ(BitcastDouble(x.reals[i]), BitcastDouble(y.reals[i]))
+          << "column " << c << " row " << i;
+    }
+  }
+  EXPECT_EQ(bulk.columns()[0].codes, (std::vector<uint32_t>{3, 3, 3, 3}));
+  EXPECT_EQ(bulk.columns()[1].ints, (std::vector<int64_t>{30, 40, 50, 90}));
+  EXPECT_EQ(BitcastDouble(bulk.columns()[2].reals[0]), BitcastDouble(0.0));
+
+  // WriteRow: one group, no value varies.
+  RowChunk row(layout_.get());
+  row.WriteRow(key, rows.data() + 5 * stride);
+  ASSERT_EQ(row.num_rows(), 1u);
+  EXPECT_EQ(row.columns()[1].ints, (std::vector<int64_t>{0}));
+  EXPECT_EQ(row.columns()[2].reals, (std::vector<double>{rows[5 * stride]}));
+}
+
+TEST_F(RowChunkTest, StringKeyVertexDecodesOrStaysEncoded) {
+  const std::vector<std::vector<Row>> lists = {{{4, 3, 1.0}, {4, 3, 2.0}},
+                                               {{3, 0, 1.0}}};
+  Plan(kExprSelect, "");
+  auto [text, text_ref] = Both(lists);
   ExpectBitIdentical(text, text_ref);
   EXPECT_EQ(text.columns[0].type, ValueType::kString);
   EXPECT_EQ(text.columns[0].strs, (std::vector<std::string>{"eel", "dog"}));
   EXPECT_TRUE(text.columns[0].codes.empty());
 
-  Plan("", /*keep_strings_encoded=*/true);
-  auto [codes, codes_ref] = Both(chunks);
+  Plan(kExprSelect, "", /*keep_strings_encoded=*/true);
+  auto [codes, codes_ref] = Both(lists);
   ExpectBitIdentical(codes, codes_ref);
   EXPECT_EQ(codes.columns[0].type, ValueType::kString);
   EXPECT_TRUE(codes.columns[0].strs.empty());
@@ -370,62 +422,54 @@ TEST_F(MaterializePartialsTest, StringKeyVertexDecodesOrStaysEncoded) {
   EXPECT_EQ(codes.columns[0].dict, dims_[0].dict);
 }
 
-/// kStrings x kInts groups cut into chunks, every other boundary splitting
-/// a group over two chunks: the decode runs as tasks on the global pool
-/// and must match the serial reference bit for bit.
-TEST_F(MaterializePartialsTest, PooledDecodeMatchesSerialDecode) {
-  ASSERT_GE(static_cast<size_t>(kStrings) * kInts, kParallelDecodeRows);
+/// kStrings x kInts groups cut into chunks: the concat sizes and copies as
+/// tasks on the global pool and must match the hash-mode decode bit for
+/// bit.
+TEST_F(RowChunkTest, PooledConcatMatchesSerialConcat) {
+  ASSERT_GE(static_cast<size_t>(kStrings) * kInts, kParallelConcatRows);
   for (const char* having : {"", "sum(a.v * b.w) > 0.125"}) {
-    Plan(having);
-    std::vector<std::vector<Row>> chunks(9);
+    Plan(kExprSelect, having);
+    std::vector<std::vector<Row>> lists(9);
     size_t i = 0;
     for (uint64_t s = 0; s < kStrings; ++s) {
       for (uint64_t j = 0; j < kInts; ++j, ++i) {
         const double v = static_cast<double>(i % 1000) / 999.0;
-        chunks[i * chunks.size() / (kStrings * kInts)].push_back({s, j, v});
+        auto& list = lists[i * lists.size() / (kStrings * kInts)];
+        list.push_back({s, j, v});
+        list.push_back({s, j, 0.5});  // a second delta per group
       }
     }
-    // A split group continues at the head of the next chunk, as when a
-    // chunk boundary falls inside one group's arrival.
-    for (size_t c = 0; c + 1 < chunks.size(); c += 2) {
-      Row split = chunks[c].back();
-      split.v = 0.5;
-      chunks[c + 1].insert(chunks[c + 1].begin(), split);
-    }
     double parallel = -1;
-    auto [got, want] = Both(chunks, &parallel);
+    auto [got, want] = Both(lists, &parallel);
     ExpectBitIdentical(got, want);
     EXPECT_EQ(parallel, 1) << having;
     EXPECT_GT(got.num_rows, 0u);
   }
 }
 
-TEST_F(MaterializePartialsTest, SmallResultDecodesOnCallingThread) {
-  Plan("");
+TEST_F(RowChunkTest, SmallResultConcatsOnCallingThread) {
+  Plan(kExprSelect, "");
   double parallel = -1;
   auto [got, want] = Both({{{0, 0, 1.0}}, {{0, 1, 1.0}}}, &parallel);
   ExpectBitIdentical(got, want);
   EXPECT_EQ(parallel, 0);
 }
 
-TEST_F(MaterializePartialsTest, RowBoundCountsHavingSurvivors) {
-  Plan("sum(a.v * b.w) > 1.5");
-  auto parts = MakePartials({{{0, 0, 1.0}, {0, 1, 2.0}},
-                             {{0, 2, 3.0}, {1, 0, 1.0}}});
-  std::vector<GroupAccum*> list;
-  for (const auto& p : parts) list.push_back(p.get());
+TEST_F(RowChunkTest, RowBoundCountsHavingSurvivors) {
+  Plan(kExprSelect, "sum(a.v * b.w) > 1.5");
+  auto chunks = MakeChunks({{{0, 0, 1.0}, {0, 1, 2.0}},
+                            {{0, 2, 3.0}, {1, 0, 1.0}}});
   // Four groups, two survive HAVING: the bound applies to the survivors.
   QueryGuard guard;
   guard.max_result_rows = 1;
-  auto over = MaterializeGroups(*plan_, list, dims_, &guard);
+  auto over = ConcatRows(*layout_, View(chunks), &guard);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
   guard.max_result_rows = 2;
-  auto fits = MaterializeGroups(*plan_, list, dims_, &guard);
+  auto fits = ConcatRows(*layout_, View(chunks), &guard);
   ASSERT_TRUE(fits.ok()) << fits.status().ToString();
   EXPECT_EQ(fits.value().num_rows, 2u);
 }
-
 
 }  // namespace
 }  // namespace levelheaded

@@ -10,7 +10,11 @@
 //     skewed graph where one hub owns most of the tuples (the shape that
 //     triggers heavy-root task splitting);
 //   - order-sensitive bit identity of append-mode SMM/SMV results across
-//     thread counts, on both sides of the parallel-decode row threshold;
+//     thread counts, on both sides of the parallel-concat row threshold;
+//   - an append-mode coverage matrix (every aggregate, HAVING, output
+//     expressions, key-only joins, skew splits on either side of a group
+//     dimension, string key vertices, NaN and -0.0 inputs) against the
+//     brute-force reference executor;
 //   - a nested-parallelism stress: ParallelChunks workers fanning out
 //     Submit/Wait sub-tasks concurrently;
 //   - pool counter hygiene: region runners are neither spawned nor stolen
@@ -21,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,10 +34,14 @@
 #include "core/engine.h"
 #include "core/group_accum.h"
 #include "obs/profile.h"
+#include "reference_executor.h"
 #include "set/intersect.h"
 #include "set/set.h"
 #include "util/rng.h"
+#include "sql/binder.h"
+#include "sql/parser.h"
 #include "util/thread_pool.h"
+#include "util/total_order.h"
 #include "workload/tpch_gen.h"
 
 namespace levelheaded {
@@ -232,6 +241,93 @@ void ExpectBitIdentical(const QueryResult& x, const QueryResult& y,
   }
 }
 
+/// The brute-force reference executor's result of `sql`, rows sorted.
+QueryResult Reference(const Catalog& catalog, const std::string& sql) {
+  auto parsed = ParseSelect(sql);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto bound = Bind(parsed.TakeValue(), catalog);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  QueryResult want = testing::ReferenceExecute(bound.value());
+  want.SortRows();
+  return want;
+}
+
+/// Compares an engine result with the reference's row multiset: keys and
+/// counts exactly, reals equal under the total order (NaN is one value; a
+/// MIN or MAX over {-0.0, +0.0} may keep either zero, depending on fold
+/// order). The inputs are dyadic, so every sum is exact in any order.
+/// String codes are decoded first, and an integer key the reference typed
+/// as a real (implicit-distinct outputs) is compared as one.
+void ExpectMatchesReference(QueryResult got, const QueryResult& want,
+                            const std::string& what) {
+  ASSERT_EQ(got.columns.size(), want.columns.size()) << what;
+  for (size_t i = 0; i < got.columns.size(); ++i) {
+    ResultColumn& c = got.columns[i];
+    for (uint32_t code : c.codes) c.strs.push_back(c.dict->DecodeString(code));
+    c.codes.clear();
+    if (!want.columns[i].reals.empty() && !c.ints.empty()) {
+      c.reals.assign(c.ints.begin(), c.ints.end());
+      c.ints.clear();
+    }
+  }
+  got.SortRows();
+  ASSERT_EQ(got.num_rows, want.num_rows) << what;
+  ASSERT_GT(got.num_rows, 0u) << what;
+  for (size_t c = 0; c < got.columns.size(); ++c) {
+    const ResultColumn& x = got.columns[c];
+    const ResultColumn& y = want.columns[c];
+    EXPECT_EQ(x.ints, y.ints) << what << " column " << x.name;
+    EXPECT_EQ(x.strs, y.strs) << what << " column " << x.name;
+    ASSERT_EQ(x.reals.size(), y.reals.size()) << what << " column " << x.name;
+    for (size_t i = 0; i < x.reals.size(); ++i) {
+      ASSERT_EQ(TotalCompare(x.reals[i], y.reals[i]), 0)
+          << what << " column " << x.name << " row " << i << " ("
+          << x.reals[i] << " vs " << y.reals[i] << ")";
+    }
+  }
+}
+
+/// Runs each of `queries` at LH_THREADS 1, 2 and 4 on a fresh engine over
+/// `catalog`: every run must match the reference, and the wider pools must
+/// reproduce the one-thread result bit for bit, row order included. The
+/// queries are append mode with their key columns first, in attribute
+/// order, so rows must already come in key order (chunk order, then key
+/// order within a chunk or skew sub-range).
+void ExpectReferenceAndThreadInvariance(
+    Catalog& catalog, const std::vector<std::string>& queries,
+    const QueryOptions& options = QueryOptions()) {
+  std::vector<QueryResult> want, first;
+  for (const std::string& q : queries) want.push_back(Reference(catalog, q));
+  for (int threads : {1, 2, 4}) {
+    ThreadPool::SetGlobalThreadsForTesting(threads);
+    Engine engine(&catalog);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto r = engine.Query(queries[i], options);
+      ASSERT_TRUE(r.ok()) << queries[i] << ": " << r.status().ToString();
+      const std::string what =
+          queries[i] + " @ " + std::to_string(threads) + " threads";
+      if (threads == 1) {
+        QueryResult sorted = r.value();
+        sorted.SortRows();
+        ExpectBitIdentical(sorted, r.value(), what + " (key order)");
+        first.push_back(r.value());
+      } else {
+        ExpectBitIdentical(first[i], r.value(), what);
+      }
+      ExpectMatchesReference(std::move(r).value(), want[i], what);
+    }
+  }
+}
+
+/// The exec.skew_splits counter of one analyzed run of `sql`.
+uint64_t SkewSplits(Engine* engine, const std::string& sql,
+                    const QueryOptions& options) {
+  auto r = engine->QueryAnalyze(sql, options);
+  EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  if (!r.ok() || r.value().profile == nullptr) return 0;
+  return r.value().profile->counters.exec_skew_splits;
+}
+
 // Skewed graph: hub node 0 owns > 50% of the edges (a star into every other
 // node), so its level-1 set dwarfs the skew threshold and the executor must
 // split it across tasks. Every mid node gets a forward edge and the first
@@ -239,6 +335,7 @@ void ExpectBitIdentical(const QueryResult& x, const QueryResult& y,
 class ThreadCountDifferentialTest : public ::testing::Test {
  protected:
   static constexpr int kHubFanout = 3000;
+  static constexpr int kPairs = 2100;
 
   void SetUp() override {
     Rng rng(20260807);
@@ -264,6 +361,45 @@ class ThreadCountDifferentialTest : public ::testing::Test {
       ASSERT_TRUE(t->AppendRow({Value::Int(j), Value::Int(0),
                                 Value::Real(rng.UniformDouble(0, 2))})
                       .ok());
+    }
+    // Append-mode skew shape: root 0 of `hub` reaches kPairs level-1
+    // values (past the skew threshold), each extending to one `pairs` row;
+    // a few light roots reach a handful. Dyadic weights keep every sum
+    // exact, so the reference executor's fold order cannot show.
+    Table* hub = catalog_
+                     .CreateTable(TableSchema(
+                         "hub", {ColumnSpec::Key("a", ValueType::kInt64, "hr"),
+                                 ColumnSpec::Key("b", ValueType::kInt64, "pn"),
+                                 ColumnSpec::Key("c", ValueType::kInt64, "pn"),
+                                 ColumnSpec::Annotation("w",
+                                                        ValueType::kDouble)}))
+                     .ValueOrDie();
+    Table* pairs =
+        catalog_
+            .CreateTable(TableSchema(
+                "pairs", {ColumnSpec::Key("a", ValueType::kInt64, "pn"),
+                          ColumnSpec::Key("b", ValueType::kInt64, "pn"),
+                          ColumnSpec::Key("c", ValueType::kInt64, "pl"),
+                          ColumnSpec::Annotation("w", ValueType::kDouble)}))
+            .ValueOrDie();
+    auto dyadic = [](int i) { return Value::Real((i % 9 - 4) / 4.0); };
+    for (int i = 1; i <= kPairs; ++i) {
+      ASSERT_TRUE(
+          hub->AppendRow({Value::Int(0), Value::Int(i), Value::Int(i),
+                          dyadic(i)})
+              .ok());
+      ASSERT_TRUE(pairs
+                      ->AppendRow({Value::Int(i), Value::Int(i),
+                                   Value::Int(i % 7), dyadic(3 * i + 1)})
+                      .ok());
+    }
+    for (int a = 1; a <= 40; ++a) {
+      for (int j = 1; j <= 1 + a % 5; ++j) {
+        const int b = (a * 37 + j * 11) % kPairs + 1;
+        ASSERT_TRUE(hub->AppendRow({Value::Int(a), Value::Int(b),
+                                    Value::Int(b), dyadic(a + j)})
+                        .ok());
+      }
     }
     ASSERT_TRUE(catalog_.Finalize().ok());
   }
@@ -335,12 +471,49 @@ TEST_F(ThreadCountDifferentialTest, SkewSplitterEngagesOnHubRoot) {
   EXPECT_GT(c.pool_tasks_spawned, 0u);
 }
 
+// Append-mode skew splits, on both sides of the level-1 rule: grouped by
+// the root alone, the hub's level 1 is no group dimension and its split
+// sub-ranges fold into one group (their partial accumulators combine in
+// sub-range order); grouped by root and level 1, each sub-range closes its
+// own groups and they concatenate in order. Both shapes split at every
+// thread count and match the reference.
+TEST_F(ThreadCountDifferentialTest, AppendModeSkewSplitsMatchReference) {
+  const std::string kFrom =
+      " FROM hub h, pairs p WHERE h.b = p.a AND h.c = p.b ";
+  const std::vector<std::string> queries = {
+      "SELECT h.a, sum(h.w * p.w), count(*), min(h.w * p.w), "
+      "max(h.w * p.w), avg(h.w * p.w)" + kFrom + "GROUP BY h.a",
+      "SELECT h.a, sum(h.w * p.w) / count(*)" + kFrom +
+          "GROUP BY h.a HAVING count(*) > 2",
+  };
+  // The optimizer's order for the two-dimension shape does not split the
+  // hub; the forced order (a, b, c) roots it at a, with b, a group
+  // dimension, at level 1.
+  const std::vector<std::string> by_level1 = {
+      "SELECT h.a, h.b, sum(h.w * p.w), count(*)" + kFrom +
+      "GROUP BY h.a, h.b"};
+  QueryOptions hub_order;
+  hub_order.force_attr_order = {"a", "b", "c"};
+  ExpectReferenceAndThreadInvariance(catalog_, queries);
+  ExpectReferenceAndThreadInvariance(catalog_, by_level1, hub_order);
+  for (int threads : {1, 4}) {
+    ThreadPool::SetGlobalThreadsForTesting(threads);
+    Engine engine(&catalog_);
+    for (const std::string& q : queries) {
+      EXPECT_GT(SkewSplits(&engine, q, QueryOptions()), 0u)
+          << q << " @ " << threads;
+    }
+    EXPECT_GT(SkewSplits(&engine, by_level1[0], hub_order), 0u)
+        << by_level1[0] << " @ " << threads;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Append-mode output order: SMM / SMV results compared *unsorted*.
 
-// A sparse matrix whose SMM has well over kParallelDecodeRows output rows
-// (so the materializer decodes chunk partials as pool tasks) while its SMV
-// stays below the threshold (decoded on the calling thread).
+// A sparse matrix whose SMM has well over kParallelConcatRows output rows
+// (so the materializer concatenates the chunks' rows as pool tasks) while
+// its SMV stays below the threshold (concatenated on the calling thread).
 class AppendModeOrderTest : public ::testing::Test {
  protected:
   static constexpr int kN = 3000;
@@ -381,12 +554,71 @@ class AppendModeOrderTest : public ::testing::Test {
               .ok());
     }
     ASSERT_TRUE(catalog_.Finalize().ok());
+    BuildCoverageCatalog();
+  }
+
+  /// The coverage matrix's inputs, small enough for the reference executor:
+  /// a sparse matrix `s` with repeated column keys, NaN and -0.0 entries, a
+  /// vector `y`, and `names`, a string key vertex over s's rows. Every
+  /// other value is dyadic, so sums are exact in any order.
+  void BuildCoverageCatalog() {
+    Rng rng(0xC0FFEE);
+    Table* s = small_
+                   .CreateTable(TableSchema(
+                       "s", {ColumnSpec::Key("r", ValueType::kInt64, "ix"),
+                             ColumnSpec::Key("c", ValueType::kInt64, "ix"),
+                             ColumnSpec::Annotation("v", ValueType::kDouble)}))
+                   .ValueOrDie();
+    for (int r = 0; r < kSmallN; ++r) {
+      for (int e = 0; e < 5; ++e) {
+        const int c = (r * 7 + e * e * 3 + rng.Uniform(3)) % kSmallN;
+        double v = static_cast<double>(rng.Uniform(17)) / 4.0 - 2.0;
+        if ((r + e) % 23 == 0) v = std::numeric_limits<double>::quiet_NaN();
+        if ((r + e) % 11 == 0) v = -0.0;
+        ASSERT_TRUE(
+            s->AppendRow({Value::Int(r), Value::Int(c), Value::Real(v)}).ok());
+      }
+    }
+    Table* y = small_
+                   .CreateTable(TableSchema(
+                       "y", {ColumnSpec::Key("i", ValueType::kInt64, "ix"),
+                             ColumnSpec::Annotation("val",
+                                                    ValueType::kDouble)}))
+                   .ValueOrDie();
+    for (int i = 0; i < kSmallN; ++i) {
+      const double v = i % 13 == 0 ? -0.0 : (i % 9) / 2.0 - 2.0;
+      ASSERT_TRUE(y->AppendRow({Value::Int(i), Value::Real(v)}).ok());
+    }
+    Table* names =
+        small_
+            .CreateTable(TableSchema(
+                "names", {ColumnSpec::Key("n", ValueType::kString, "nm"),
+                          ColumnSpec::Key("r", ValueType::kInt64, "ix"),
+                          ColumnSpec::Annotation("w", ValueType::kDouble)}))
+            .ValueOrDie();
+    for (int r = 0; r < kSmallN; r += 2) {
+      const std::string n = "n" + std::to_string(r % 9);
+      ASSERT_TRUE(names
+                      ->AppendRow({Value::Str(n), Value::Int(r),
+                                   Value::Real((r % 5) / 2.0)})
+                      .ok());
+    }
+    ASSERT_TRUE(small_.Finalize().ok());
   }
 
   void TearDown() override { ThreadPool::SetGlobalThreadsForTesting(0); }
 
+  /// The materialize span's detail (its path: `rows` or `groups`) of one
+  /// analyzed run.
+  static std::string MaterializePath(const QueryResult& r) {
+    for (const obs::SpanRecord& s : r.profile->spans) {
+      if (s.name == "materialize") return s.detail;
+    }
+    return "";
+  }
+
   /// The materialize span's `parallel` metric of one analyzed run.
-  static double DecodedInParallel(const QueryResult& r) {
+  static double ConcatInParallel(const QueryResult& r) {
     for (const obs::SpanRecord& s : r.profile->spans) {
       if (s.name != "materialize") continue;
       for (const auto& [name, value] : s.metrics) {
@@ -396,7 +628,10 @@ class AppendModeOrderTest : public ::testing::Test {
     return -1;
   }
 
+  static constexpr int kSmallN = 60;
+
   Catalog catalog_;
+  Catalog small_;
 };
 
 TEST_F(AppendModeOrderTest, UnsortedResultsBitIdenticalAcrossThreadCounts) {
@@ -410,11 +645,22 @@ TEST_F(AppendModeOrderTest, UnsortedResultsBitIdenticalAcrossThreadCounts) {
       reference.push_back(std::move(r).value());
     }
   }
-  // The two queries sit on opposite sides of the decode threshold.
-  ASSERT_GE(reference[0].num_rows, kParallelDecodeRows);
-  ASSERT_LT(reference[1].num_rows, kParallelDecodeRows);
-  EXPECT_EQ(DecodedInParallel(reference[0]), 1);
-  EXPECT_EQ(DecodedInParallel(reference[1]), 0);
+  // The two queries sit on opposite sides of the concat threshold.
+  ASSERT_GE(reference[0].num_rows, kParallelConcatRows);
+  ASSERT_LT(reference[1].num_rows, kParallelConcatRows);
+  EXPECT_EQ(ConcatInParallel(reference[0]), 1);
+  EXPECT_EQ(ConcatInParallel(reference[1]), 0);
+  // Both are append mode: the materialize span names the row path. A
+  // dimension that is no key vertex takes the hash-mode path.
+  EXPECT_EQ(MaterializePath(reference[0]), "rows");
+  EXPECT_EQ(MaterializePath(reference[1]), "rows");
+  {
+    Engine engine(&catalog_);
+    auto hashed = engine.QueryAnalyze(
+        "SELECT x.val, count(*) FROM m, x WHERE m.c = x.i GROUP BY x.val");
+    ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+    EXPECT_EQ(MaterializePath(hashed.value()), "groups");
+  }
   // Append-mode output arrives in key order: row order is part of the
   // contract, so nothing is sorted before comparing.
   for (int threads : {2, 8}) {
@@ -429,6 +675,50 @@ TEST_F(AppendModeOrderTest, UnsortedResultsBitIdenticalAcrossThreadCounts) {
                              " threads");
     }
   }
+}
+
+// The append-mode coverage matrix: every aggregate with HAVING and an
+// output expression (a), key-only join materialization whose leaves repeat
+// each key (b), a string key vertex kept encoded or decoded (d), and NaN
+// and -0.0 inputs (e), on the SMM (relaxed tail) and SMV (fused leaf)
+// shapes, direct and not. The skew-split shapes (c) are in
+// ThreadCountDifferentialTest.AppendModeSkewSplitsMatchReference.
+TEST_F(AppendModeOrderTest, CoverageMatrixMatchesReference) {
+  const std::string kAggs =
+      "sum(s1.v * s2.v), count(*), avg(s1.v * s2.v), min(s1.v * s2.v), "
+      "max(s1.v * s2.v)";
+  const std::string kSmmFrom = " FROM s s1, s s2 WHERE s1.c = s2.r ";
+  const std::string kSmvAggs =
+      "sum(s.v * y.val), count(*), avg(s.v * y.val), min(s.v * y.val), "
+      "max(s.v * y.val)";
+  const std::string kSmvFrom = " FROM s, y WHERE s.c = y.i ";
+  const std::vector<std::string> queries = {
+      // (a) + (e), SMM shape: non-direct, then direct.
+      "SELECT s1.r, s2.c, " + kAggs + ", sum(s1.v * s2.v) / count(*)" + kSmmFrom +
+          "GROUP BY s1.r, s2.c HAVING count(*) > 1",
+      "SELECT s1.r, s2.c, " + kAggs + kSmmFrom + "GROUP BY s1.r, s2.c",
+      "SELECT s1.r, s2.c, sum(s1.v * s2.v)" + kSmmFrom + "GROUP BY s1.r, s2.c",
+      // (a) + (e), SMV shape: non-direct, then direct.
+      "SELECT s.r, " + kSmvAggs + ", sum(s.v * y.val) / count(*)" + kSmvFrom +
+          "GROUP BY s.r HAVING count(*) > 2",
+      "SELECT s.r, " + kSmvAggs + kSmvFrom + "GROUP BY s.r",
+      "SELECT s.r, sum(s.v * y.val)" + kSmvFrom + "GROUP BY s.r",
+      // (b) key-only join materialization: consecutive duplicate keys.
+      "SELECT s1.r FROM s s1, s s2 WHERE s1.c = s2.r",
+      "SELECT s1.r, s2.c FROM s s1, s s2 WHERE s1.c = s2.r",
+      // (d) a string key vertex.
+      "SELECT names.n, sum(names.w * s.v), count(*) FROM names, s "
+      "WHERE names.r = s.r GROUP BY names.n",
+  };
+  ExpectReferenceAndThreadInvariance(small_, queries);
+  QueryOptions encoded;
+  encoded.keep_strings_encoded = true;
+  ExpectReferenceAndThreadInvariance(small_, {queries.back()}, encoded);
+  Engine engine(&small_);
+  auto r = engine.Query(queries.back(), encoded);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().columns[0].strs.empty());
+  EXPECT_FALSE(r.value().columns[0].codes.empty());
 }
 
 // The partitioned trie build (engaged above ~16k rows regardless of pool

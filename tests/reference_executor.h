@@ -51,6 +51,76 @@ class TupleCells : public CellAccessor {
   const LogicalQuery& q_;
 };
 
+/// One group of the reference executor: per-aggregate main/aux and the
+/// dimension values.
+struct ReferenceGroup {
+  std::vector<double> main;
+  std::vector<double> aux;
+  std::vector<Value> dim_values;
+};
+
+/// A post-aggregation expression (an output item or HAVING) over one group.
+inline double EvalReferenceGroup(const Expr& e, const LogicalQuery& q,
+                                 const std::vector<const Expr*>& dims,
+                                 const ReferenceGroup& acc) {
+  auto eval = [&](const Expr& x) {
+    return EvalReferenceGroup(x, q, dims, acc);
+  };
+  for (size_t d = 0; d < dims.size(); ++d) {
+    if (ExprEquals(e, *dims[d])) return acc.dim_values[d].AsReal();
+  }
+  switch (e.kind) {
+    case Expr::Kind::kAggRef: {
+      double val = acc.main[e.slot_index];
+      if (q.aggregates[e.slot_index].func == AggFunc::kAvg) {
+        val = acc.aux[e.slot_index] == 0 ? 0 : val / acc.aux[e.slot_index];
+      }
+      return val;
+    }
+    case Expr::Kind::kIntLiteral:
+    case Expr::Kind::kDateLiteral:
+      return static_cast<double>(e.int_value);
+    case Expr::Kind::kRealLiteral:
+      return e.real_value;
+    case Expr::Kind::kUnaryMinus:
+      return -eval(*e.children[0]);
+    case Expr::Kind::kBinary: {
+      double l = eval(*e.children[0]), r = eval(*e.children[1]);
+      switch (e.bin_op) {
+        case BinOp::kAdd:
+          return l + r;
+        case BinOp::kSub:
+          return l - r;
+        case BinOp::kMul:
+          return l * r;
+        case BinOp::kDiv:
+          return l / r;
+        case BinOp::kEq:
+          return TotalEqual(l, r) ? 1 : 0;
+        case BinOp::kNe:
+          return TotalEqual(l, r) ? 0 : 1;
+        case BinOp::kLt:
+          return TotalLess(l, r) ? 1 : 0;
+        case BinOp::kLe:
+          return TotalLessEqual(l, r) ? 1 : 0;
+        case BinOp::kGt:
+          return TotalLess(r, l) ? 1 : 0;
+        case BinOp::kGe:
+          return TotalLessEqual(r, l) ? 1 : 0;
+        case BinOp::kAnd:
+          return l != 0 && r != 0 ? 1 : 0;
+        case BinOp::kOr:
+          return l != 0 || r != 0 ? 1 : 0;
+      }
+      ADD_FAILURE() << "bad output op";
+      return 0;
+    }
+    default:
+      ADD_FAILURE() << "bad output expr " << e.ToString();
+      return 0;
+  }
+}
+
 /// Brute-force evaluation. Exponential in the number of relations — use
 /// tiny tables only.
 inline QueryResult ReferenceExecute(const LogicalQuery& q) {
@@ -73,11 +143,7 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
     }
   }
 
-  struct Acc {
-    std::vector<double> main;
-    std::vector<double> aux;
-    std::vector<Value> dim_values;
-  };
+  using Acc = ReferenceGroup;
   std::map<std::string, Acc> groups;
 
   std::function<void(size_t)> recurse = [&](size_t rel) {
@@ -157,6 +223,17 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
   };
   if (!q.always_empty) recurse(0);
 
+  // HAVING drops whole groups before any output.
+  if (q.having != nullptr) {
+    for (auto it = groups.begin(); it != groups.end();) {
+      if (EvalReferenceGroup(*q.having, q, dims, it->second) != 0) {
+        ++it;
+      } else {
+        it = groups.erase(it);
+      }
+    }
+  }
+
   // Materialize outputs.
   QueryResult result;
   result.num_rows = groups.size();
@@ -178,49 +255,7 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
         v = Value::Real(val);
       } else {
         // Post-aggregation scalar over slots and dims.
-        std::function<double(const Expr&)> eval = [&](const Expr& e) -> double {
-          for (size_t d = 0; d < dims.size(); ++d) {
-            if (ExprEquals(e, *dims[d])) return acc.dim_values[d].AsReal();
-          }
-          switch (e.kind) {
-            case Expr::Kind::kAggRef: {
-              double val = acc.main[e.slot_index];
-              if (q.aggregates[e.slot_index].func == AggFunc::kAvg) {
-                val = acc.aux[e.slot_index] == 0
-                          ? 0
-                          : val / acc.aux[e.slot_index];
-              }
-              return val;
-            }
-            case Expr::Kind::kIntLiteral:
-            case Expr::Kind::kDateLiteral:
-              return static_cast<double>(e.int_value);
-            case Expr::Kind::kRealLiteral:
-              return e.real_value;
-            case Expr::Kind::kUnaryMinus:
-              return -eval(*e.children[0]);
-            case Expr::Kind::kBinary: {
-              double l = eval(*e.children[0]), r = eval(*e.children[1]);
-              switch (e.bin_op) {
-                case BinOp::kAdd:
-                  return l + r;
-                case BinOp::kSub:
-                  return l - r;
-                case BinOp::kMul:
-                  return l * r;
-                case BinOp::kDiv:
-                  return l / r;
-                default:
-                  ADD_FAILURE() << "bad output op";
-                  return 0;
-              }
-            }
-            default:
-              ADD_FAILURE() << "bad output expr " << e.ToString();
-              return 0;
-          }
-        };
-        v = Value::Real(eval(*o.expr));
+        v = Value::Real(EvalReferenceGroup(*o.expr, q, dims, acc));
       }
       // Typed append: the column's representation is fixed by the first
       // value; numeric values coerce to it (Int vs Real can vary per row
