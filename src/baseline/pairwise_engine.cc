@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "baseline/block_eval.h"
+#include "baseline/expr_walker.h"
 #include "core/expr_eval.h"
 #include "core/group_accum.h"
 #include "core/plan.h"
@@ -92,6 +93,10 @@ class PairwiseRun {
 
   Result<QueryResult> Run() {
     WallTimer total;
+    for (const GroupDimExec& d : plan_.dims) {
+      dim_infos_.push_back(
+          ClassifyDim(d, plan_, catalog_, /*join_path=*/false));
+    }
     if (q_.always_empty) {
       GroupAccum empty(plan_.dims.size(), &plan_.aggs);
       LH_ASSIGN_OR_RETURN(
@@ -131,10 +136,6 @@ class PairwiseRun {
       selections_[r] = filter.SelectedRows();
     }
 
-    for (const GroupDimExec& d : plan_.dims) {
-      dim_infos_.push_back(
-          ClassifyDim(d, plan_, catalog_, /*join_path=*/false));
-    }
     if (mode_ == BaselineMode::kInterpreted) {
       std::set<std::pair<int, int>> refs;
       std::function<void(const Expr&)> walk = [&](const Expr& e) {

@@ -453,6 +453,7 @@ class NodeExec {
       // chunk boundary; each chunk closes its own groups.
       LH_DCHECK(min_dim_pos == 0);
       layout_ = std::make_unique<RowLayout>(plan_, *dims_);
+      LH_RETURN_NOT_OK(layout_->programs_status);
     }
     seed_ = std::make_unique<Worker>();
     InitWorker(seed_.get(), key_width_);

@@ -1,54 +1,20 @@
-// Bound-expression evaluation: a generic tree-walking evaluator over an
-// abstract cell accessor, plus RowFilter, a compiled row predicate used for
-// selection pushdown ahead of trie construction and in fused scans (hot
-// path). The engine itself evaluates rows only through ExprProgram
-// (core/expr_vm.h); the walker serves the pairwise baseline and is the
-// tests' oracle. Both compare numbers under util/total_order.h.
+// RowFilter: a compiled row predicate used for selection pushdown ahead of
+// trie construction and in fused scans (hot path). Its typed predicates and
+// its general case, an ExprProgram (core/expr_vm.h), compare numbers under
+// util/total_order.h.
 
 #ifndef LEVELHEADED_CORE_EXPR_EVAL_H_
 #define LEVELHEADED_CORE_EXPR_EVAL_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/expr_vm.h"
 #include "sql/ast.h"
 #include "storage/table.h"
-#include "util/like_matcher.h"
 #include "util/status.h"
 
 namespace levelheaded {
-
-/// Cell access for the generic evaluator. Implementations resolve a bound
-/// column reference (relation, column) in their own context: a table row,
-/// a trie leaf, or a reference executor's tuple.
-class CellAccessor {
- public:
-  virtual ~CellAccessor() = default;
-  /// Numeric value (ints and dates as their integer value; dict-encoded
-  /// strings as their code — callers needing string semantics use Code()).
-  virtual double Number(int rel, int col) const = 0;
-  /// Dictionary code of a string column; -1 when not dict-encoded.
-  virtual int64_t Code(int rel, int col) const = 0;
-  /// Dictionary of a string column; nullptr when not dict-encoded.
-  virtual const Dictionary* Dict(int rel, int col) const = 0;
-};
-
-/// True when the bound column reference denotes a string-typed column.
-bool IsStringExpr(const Expr& e, const CellAccessor& cells);
-
-/// Evaluates a bound scalar expression (aggregate args, CASE, EXTRACT,
-/// arithmetic). kAggRef nodes are not allowed here.
-double EvalNumber(const Expr& e, const CellAccessor& cells);
-
-/// Evaluates a bound predicate (comparisons, AND/OR/NOT, LIKE, BETWEEN).
-bool EvalBool(const Expr& e, const CellAccessor& cells);
-
-/// Evaluates a bound expression to a dynamic Value (reference executor and
-/// output materialization; decodes strings).
-Value EvalValue(const Expr& e, const CellAccessor& cells);
 
 /// A compiled conjunction of single-relation predicates over a table.
 /// Typed fast paths cover the common TPC-H filter shapes (numeric/date

@@ -13,9 +13,10 @@
 // subrow (the executor fills them; DESIGN.md §15).
 //
 // Semantics: one IEEE operation per tree-walker operation, in the walker's
-// order, so results are bit-identical to EvalNumber/EvalBool (the test
-// oracle). Every comparison follows the total order of
-// util/total_order.h, which is the IEEE result on non-NaN operands.
+// order, so results are bit-identical to EvalNumber/EvalBool
+// (baseline/expr_walker.h, the test oracle). Every comparison follows the
+// total order of util/total_order.h, which is the IEEE result on non-NaN
+// operands.
 // AND/OR/CASE evaluate both branches where the walker short-circuits; the
 // discarded value is never observable.
 //

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "core/cancel.h"
-#include "core/expr_eval.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -177,153 +176,26 @@ void GroupAccum::AppendGroup(const uint64_t* key) {
 }
 
 namespace {
-/// Resolves `e` to a string when it is a string literal or a string-valued
-/// group dimension of group `g`.
-bool GroupStringOf(const Expr& e, const PhysicalPlan& plan,
-                   const GroupAccum& groups,
-                   const std::vector<DimInfo>& dim_infos, size_t g,
-                   std::string* out) {
-  if (e.kind == Expr::Kind::kStringLiteral) {
-    *out = e.str_value;
-    return true;
+
+using OutSource = OutColumn::Source;
+
+/// Where dimension `info`'s value comes from; a string dimension is
+/// decoded to text unless `keep_encoded`.
+OutSource DimSource(const DimInfo& info, bool keep_encoded) {
+  switch (info.kind) {
+    case DimKind::kKeyVertex:
+      if (info.dict->type() != ValueType::kString) return OutSource::kIntCode;
+      [[fallthrough]];
+    case DimKind::kStringCode:
+      return keep_encoded ? OutSource::kStringCode : OutSource::kString;
+    case DimKind::kInt:
+    case DimKind::kDate:
+      return OutSource::kIntWord;
+    case DimKind::kReal:
+      break;
   }
-  for (size_t d = 0; d < plan.dims.size(); ++d) {
-    if (!ExprEquals(e, *plan.dims[d].expr)) continue;
-    const DimInfo& info = dim_infos[d];
-    const bool stringy =
-        info.kind == DimKind::kStringCode ||
-        (info.kind == DimKind::kKeyVertex && info.dict != nullptr &&
-         info.dict->type() == ValueType::kString);
-    if (!stringy) return false;
-    *out = info.dict->DecodeString(static_cast<uint32_t>(groups.key(g)[d]));
-    return true;
-  }
-  return false;
+  return OutSource::kRealWord;
 }
-}  // namespace
-
-double EvalOutputExpr(const Expr& e, const PhysicalPlan& plan,
-                      const GroupAccum& groups,
-                      const std::vector<DimInfo>& dim_infos, size_t g) {
-  for (size_t d = 0; d < plan.dims.size(); ++d) {
-    if (ExprEquals(e, *plan.dims[d].expr)) {
-      const uint64_t enc = groups.key(g)[d];
-      switch (dim_infos[d].kind) {
-        case DimKind::kKeyVertex:
-          return static_cast<double>(
-              dim_infos[d].dict->DecodeInt(static_cast<uint32_t>(enc)));
-        case DimKind::kStringCode:
-          LH_CHECK(false) << "string dimension used in arithmetic";
-          return 0;
-        case DimKind::kInt:
-        case DimKind::kDate:
-          return static_cast<double>(static_cast<int64_t>(enc));
-        case DimKind::kReal:
-          return UnbitcastDouble(enc);
-      }
-    }
-  }
-  switch (e.kind) {
-    case Expr::Kind::kAggRef:
-      return groups.Finalize(g, e.slot_index);
-    case Expr::Kind::kIntLiteral:
-    case Expr::Kind::kDateLiteral:
-    case Expr::Kind::kIntervalLiteral:
-      return static_cast<double>(e.int_value);
-    case Expr::Kind::kRealLiteral:
-      return e.real_value;
-    case Expr::Kind::kUnaryMinus:
-      return -EvalOutputExpr(*e.children[0], plan, groups, dim_infos, g);
-    case Expr::Kind::kNot:
-      return EvalOutputExpr(*e.children[0], plan, groups, dim_infos, g) != 0
-                 ? 0
-                 : 1;
-    case Expr::Kind::kBetween: {
-      const double v =
-          EvalOutputExpr(*e.children[0], plan, groups, dim_infos, g);
-      return TotalLessEqual(EvalOutputExpr(*e.children[1], plan, groups,
-                                           dim_infos, g),
-                            v) &&
-                     TotalLessEqual(v, EvalOutputExpr(*e.children[2], plan,
-                                                      groups, dim_infos, g))
-                 ? 1
-                 : 0;
-    }
-    case Expr::Kind::kBinary: {
-      // String comparisons: a string group dimension against a literal.
-      if (e.bin_op == BinOp::kEq || e.bin_op == BinOp::kNe) {
-        std::string ls, rs;
-        if (GroupStringOf(*e.children[0], plan, groups, dim_infos, g, &ls) &&
-            GroupStringOf(*e.children[1], plan, groups, dim_infos, g, &rs)) {
-          const bool eq = ls == rs;
-          return (e.bin_op == BinOp::kEq) == eq ? 1 : 0;
-        }
-      }
-      const double l =
-          EvalOutputExpr(*e.children[0], plan, groups, dim_infos, g);
-      const double r =
-          EvalOutputExpr(*e.children[1], plan, groups, dim_infos, g);
-      switch (e.bin_op) {
-        case BinOp::kAdd:
-          return l + r;
-        case BinOp::kSub:
-          return l - r;
-        case BinOp::kMul:
-          return l * r;
-        case BinOp::kDiv:
-          return l / r;
-        case BinOp::kEq:
-          return TotalEqual(l, r) ? 1 : 0;
-        case BinOp::kNe:
-          return TotalEqual(l, r) ? 0 : 1;
-        case BinOp::kLt:
-          return TotalLess(l, r) ? 1 : 0;
-        case BinOp::kLe:
-          return TotalLessEqual(l, r) ? 1 : 0;
-        case BinOp::kGt:
-          return TotalLess(r, l) ? 1 : 0;
-        case BinOp::kGe:
-          return TotalLessEqual(r, l) ? 1 : 0;
-        case BinOp::kAnd:
-          return (l != 0 && r != 0) ? 1 : 0;
-        case BinOp::kOr:
-          return (l != 0 || r != 0) ? 1 : 0;
-      }
-      LH_CHECK(false) << "unsupported output operator";
-      return 0;
-    }
-    default:
-      LH_CHECK(false) << "unsupported output expression " << e.ToString();
-      return 0;
-  }
-}
-
-bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
-                const GroupAccum& groups,
-                const std::vector<DimInfo>& dim_infos, size_t g) {
-  return EvalOutputExpr(e, plan, groups, dim_infos, g) != 0;
-}
-
-namespace {
-
-/// Where one output column's values come from, resolved once per query so
-/// the decode loops switch per column rather than per row.
-enum class OutSource : uint8_t {
-  kIntCode,     // key vertex over an integer domain (dictionary decode)
-  kStringCode,  // string dictionary code, kept encoded
-  kString,      // string dictionary code, decoded to text
-  kIntWord,     // integer or date key word
-  kRealWord,    // bit-cast double key word
-  kAgg,         // finalized aggregate slot
-  kExpr,        // post-aggregation output expression
-};
-
-struct OutColumn {
-  OutSource source = OutSource::kExpr;
-  size_t index = 0;  // group dimension or aggregate slot
-  const Dictionary* dict = nullptr;
-  const Expr* expr = nullptr;
-};
 
 /// Resolves output item `out` and types its column.
 OutColumn ResolveOutput(const OutputItem& out, const PhysicalPlan& plan,
@@ -335,58 +207,102 @@ OutColumn ResolveOutput(const OutputItem& out, const PhysicalPlan& plan,
     if (out.direct_agg_slot >= 0) {
       oc.source = OutSource::kAgg;
       oc.index = static_cast<size_t>(out.direct_agg_slot);
-    } else {
-      oc.expr = out.expr.get();
     }
     return oc;
   }
   oc.index = static_cast<size_t>(out.direct_group_index);
   const DimInfo& info = dim_infos[oc.index];
   oc.dict = info.dict;
-  switch (info.kind) {
-    case DimKind::kKeyVertex:
-      if (info.dict->type() != ValueType::kString) {
-        col->type = ValueType::kInt64;
-        oc.source = OutSource::kIntCode;
-        break;
-      }
-      [[fallthrough]];
-    case DimKind::kStringCode:
-      col->type = ValueType::kString;
-      if (plan.options.keep_strings_encoded) {
-        col->dict = info.dict;
-        oc.source = OutSource::kStringCode;
-      } else {
-        oc.source = OutSource::kString;
-      }
+  oc.source = DimSource(info, plan.options.keep_strings_encoded);
+  switch (oc.source) {
+    case OutSource::kIntCode:
+      col->type = ValueType::kInt64;
+      oc.int_values = info.dict->int_values().data();
       break;
-    case DimKind::kInt:
-    case DimKind::kDate:
+    case OutSource::kStringCode:
+      col->dict = info.dict;
+      [[fallthrough]];
+    case OutSource::kString:
+      col->type = ValueType::kString;
+      break;
+    case OutSource::kIntWord:
       col->type =
           info.kind == DimKind::kDate ? ValueType::kDate : ValueType::kInt64;
-      oc.source = OutSource::kIntWord;
       break;
-    case DimKind::kReal:
-      oc.source = OutSource::kRealWord;
+    default:
       break;
   }
   return oc;
 }
 
-void SizeColumn(OutSource source, size_t n, ResultColumn* col) {
+/// Calls fn on the vector of `col` that holds values from `source`.
+template <typename Fn>
+void WithValues(OutSource source, ResultColumn* col, Fn&& fn) {
   switch (source) {
     case OutSource::kIntCode:
     case OutSource::kIntWord:
-      col->ints.resize(n);
+      fn(col->ints);
       break;
     case OutSource::kStringCode:
-      col->codes.resize(n);
+      fn(col->codes);
       break;
     case OutSource::kString:
-      col->strs.resize(n);
+      fn(col->strs);
       break;
     default:
-      col->reals.resize(n);
+      fn(col->reals);
+      break;
+  }
+}
+
+/// Appends value(i) for every i < n to `v`.
+template <typename T, typename Fn>
+void Fill(std::vector<T>* v, size_t n, Fn&& value) {
+  const size_t base = v->size();
+  v->resize(base + n);
+  T* out = v->data() + base;
+  for (size_t i = 0; i < n; ++i) out[i] = value(i);
+}
+
+/// Appends output column `c` (`oc`) of n groups of `groups` to `col`: the
+/// groups rows[0..n), or 0..n-1 when `rows` is null. `programs` evaluates
+/// kExpr columns.
+void AppendColumn(const OutColumn& oc, size_t c, const GroupAccum& groups,
+                  const uint32_t* rows, size_t n, GroupPrograms* programs,
+                  ResultColumn* col) {
+  const auto g = [&](size_t i) -> size_t {
+    return rows != nullptr ? rows[i] : i;
+  };
+  const auto word = [&](size_t i) { return groups.key(g(i))[oc.index]; };
+  const auto code = [&](size_t i) { return static_cast<uint32_t>(word(i)); };
+  switch (oc.source) {
+    case OutSource::kIntCode:
+      Fill(&col->ints, n, [&](size_t i) { return oc.int_values[code(i)]; });
+      break;
+    case OutSource::kStringCode:
+      Fill(&col->codes, n, code);
+      break;
+    case OutSource::kString:
+      Fill(&col->strs, n, [&](size_t i) -> const std::string& {
+        return oc.dict->DecodeString(code(i));
+      });
+      break;
+    case OutSource::kIntWord:
+      Fill(&col->ints, n,
+           [&](size_t i) { return static_cast<int64_t>(word(i)); });
+      break;
+    case OutSource::kRealWord:
+      Fill(&col->reals, n, [&](size_t i) { return UnbitcastDouble(word(i)); });
+      break;
+    case OutSource::kAgg:
+      Fill(&col->reals, n,
+           [&](size_t i) { return groups.Finalize(g(i), oc.index); });
+      break;
+    case OutSource::kExpr:
+      Fill(&col->reals, n, [&](size_t i) {
+        programs->Load(groups, g(i));
+        return programs->Output(c);
+      });
       break;
   }
 }
@@ -406,77 +322,153 @@ void ForEachTask(size_t n, bool parallel,
   group.Wait();
 }
 
+/// The relation index of the group columns GroupPrograms read (no query
+/// relation has a negative index).
+constexpr int kGroupRel = -2;
+
+/// Rewrites `*e` in place: every subtree equal to a GROUP BY dimension,
+/// and every aggregate reference, becomes a column reference on kGroupRel
+/// (dimension d is column d, slot s column num_dims + s), marked in `read`.
+void ToGroupColumns(ExprPtr* e, const PhysicalPlan& plan,
+                    std::vector<bool>* read) {
+  const Expr& x = **e;
+  int column = -1;
+  for (size_t d = 0; d < plan.dims.size() && column < 0; ++d) {
+    if (ExprEquals(x, *plan.dims[d].expr)) column = static_cast<int>(d);
+  }
+  if (column < 0 && x.kind == Expr::Kind::kAggRef) {
+    column = static_cast<int>(plan.dims.size()) + x.slot_index;
+  }
+  if (column < 0) {
+    for (ExprPtr& c : (*e)->children) {
+      if (c != nullptr) ToGroupColumns(&c, plan, read);
+    }
+    return;
+  }
+  auto ref = std::make_unique<Expr>(Expr::Kind::kColumnRef);
+  ref->name = x.ToString();
+  ref->bound_rel = kGroupRel;
+  ref->bound_col = column;
+  (*read)[column] = true;
+  *e = std::move(ref);
+}
+
 }  // namespace
+
+Result<GroupPrograms> GroupPrograms::Compile(
+    const PhysicalPlan& plan, const std::vector<DimInfo>& dim_infos) {
+  const size_t nd = plan.dims.size();
+  const size_t columns = nd + plan.aggs.size();
+  GroupPrograms p;
+  p.dim_infos_ = &dim_infos;
+  p.ints_.resize(columns);
+  p.reals_.resize(columns);
+  p.codes_.resize(columns);
+  std::vector<bool> read(columns, false);
+  const ColumnResolver resolve = [&](int rel, int c, ColumnSource* out) {
+    if (rel != kGroupRel) return false;
+    out->ints = p.ints_.data() + c;
+    out->reals = p.reals_.data() + c;
+    out->codes = p.codes_.data() + c;
+    out->type = ColumnSource::Type::kReal;  // aggregates and real words
+    if (static_cast<size_t>(c) >= nd) return true;
+    switch (DimSource(dim_infos[c], /*keep_encoded=*/true)) {
+      case OutSource::kIntCode:
+      case OutSource::kIntWord:
+        out->type = ColumnSource::Type::kInt;
+        break;
+      case OutSource::kStringCode:
+        out->type = ColumnSource::Type::kString;
+        out->dict = dim_infos[c].dict;
+        break;
+      default:
+        break;
+    }
+    return true;
+  };
+  auto compile = [&](const Expr& e, ExprProgram* out) {
+    ExprPtr x = e.Clone();
+    ToGroupColumns(&x, plan, &read);
+    return ExprProgram::Compile(*x, resolve, out);
+  };
+  if (plan.query.having != nullptr) {
+    LH_RETURN_NOT_OK(compile(*plan.query.having, &p.having_.emplace()));
+  }
+  p.outputs_.resize(plan.query.outputs.size());
+  for (size_t i = 0; i < p.outputs_.size(); ++i) {
+    const OutputItem& out = plan.query.outputs[i];
+    if (out.direct_group_index >= 0 || out.direct_agg_slot >= 0) continue;
+    LH_RETURN_NOT_OK(compile(*out.expr, &p.outputs_[i]));
+  }
+  for (uint32_t c = 0; c < columns; ++c) {
+    if (read[c]) p.read_.push_back(c);
+  }
+  return p;
+}
+
+void GroupPrograms::Load(const GroupAccum& groups, size_t g) {
+  const size_t nd = dim_infos_->size();
+  for (uint32_t c : read_) {
+    if (c >= nd) {
+      reals_[c] = groups.Finalize(g, c - nd);
+      continue;
+    }
+    const uint64_t word = groups.key(g)[c];
+    const DimInfo& info = (*dim_infos_)[c];
+    switch (DimSource(info, /*keep_encoded=*/true)) {
+      case OutSource::kIntCode:
+        ints_[c] = info.dict->DecodeInt(static_cast<uint32_t>(word));
+        break;
+      case OutSource::kStringCode:
+        codes_[c] = static_cast<uint32_t>(word);
+        break;
+      case OutSource::kIntWord:
+        ints_[c] = static_cast<int64_t>(word);
+        break;
+      default:
+        reals_[c] = UnbitcastDouble(word);
+        break;
+    }
+  }
+}
+
+bool GroupPrograms::Keep() const {
+  const uint32_t row = 0;
+  return !having_.has_value() || having_->EvalAt(&row) != 0;
+}
+
+double GroupPrograms::Output(size_t i) const {
+  const uint32_t row = 0;
+  return outputs_[i].EvalAt(&row);
+}
 
 Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
                                       const GroupAccum& groups,
                                       const std::vector<DimInfo>& dim_infos,
                                       const QueryGuard* guard) {
+  LH_ASSIGN_OR_RETURN(GroupPrograms programs,
+                      GroupPrograms::Compile(plan, dim_infos));
   std::vector<uint32_t> keep;
-  const Expr* having = plan.query.having.get();
-  if (having != nullptr) {
+  const bool having = plan.query.having != nullptr;
+  if (having) {
     for (size_t g = 0; g < groups.num_groups(); ++g) {
-      if (EvalHaving(*having, plan, groups, dim_infos, g)) {
-        keep.push_back(static_cast<uint32_t>(g));
-      }
+      programs.Load(groups, g);
+      if (programs.Keep()) keep.push_back(static_cast<uint32_t>(g));
     }
   }
-  const size_t total = having != nullptr ? keep.size() : groups.num_groups();
+  const size_t total = having ? keep.size() : groups.num_groups();
   // The row bound, before a single output byte is allocated.
   if (guard != nullptr) LH_RETURN_NOT_OK(guard->CheckRows(total));
 
   QueryResult result;
   result.num_rows = total;
-  auto for_rows = [&](auto&& emit) {
-    if (having != nullptr) {
-      for (size_t r = 0; r < total; ++r) emit(r, keep[r]);
-    } else {
-      for (size_t g = 0; g < total; ++g) emit(g, g);
-    }
-  };
-  for (const OutputItem& out : plan.query.outputs) {
+  for (size_t c = 0; c < plan.query.outputs.size(); ++c) {
     ResultColumn col;
-    col.name = out.name;
-    const OutColumn oc = ResolveOutput(out, plan, dim_infos, &col);
-    SizeColumn(oc.source, total, &col);
-    auto code = [&](size_t g) {
-      return static_cast<uint32_t>(groups.key(g)[oc.index]);
-    };
-    switch (oc.source) {
-      case OutSource::kIntCode:
-        for_rows([&](size_t r, size_t g) {
-          col.ints[r] = oc.dict->DecodeInt(code(g));
-        });
-        break;
-      case OutSource::kStringCode:
-        for_rows([&](size_t r, size_t g) { col.codes[r] = code(g); });
-        break;
-      case OutSource::kString:
-        for_rows([&](size_t r, size_t g) {
-          col.strs[r] = oc.dict->DecodeString(code(g));
-        });
-        break;
-      case OutSource::kIntWord:
-        for_rows([&](size_t r, size_t g) {
-          col.ints[r] = static_cast<int64_t>(groups.key(g)[oc.index]);
-        });
-        break;
-      case OutSource::kRealWord:
-        for_rows([&](size_t r, size_t g) {
-          col.reals[r] = UnbitcastDouble(groups.key(g)[oc.index]);
-        });
-        break;
-      case OutSource::kAgg:
-        for_rows([&](size_t r, size_t g) {
-          col.reals[r] = groups.Finalize(g, oc.index);
-        });
-        break;
-      case OutSource::kExpr:
-        for_rows([&](size_t r, size_t g) {
-          col.reals[r] = EvalOutputExpr(*oc.expr, plan, groups, dim_infos, g);
-        });
-        break;
-    }
+    col.name = plan.query.outputs[c].name;
+    const OutColumn oc =
+        ResolveOutput(plan.query.outputs[c], plan, dim_infos, &col);
+    AppendColumn(oc, c, groups, having ? keep.data() : nullptr, total,
+                 &programs, &col);
     result.columns.push_back(std::move(col));
   }
   return result;
@@ -487,36 +479,19 @@ Result<QueryResult> MaterializeGroups(const PhysicalPlan& plan,
 
 RowLayout::RowLayout(const PhysicalPlan& plan_in,
                      const std::vector<DimInfo>& dim_infos_in)
-    : plan(plan_in), dim_infos(dim_infos_in) {
+    : plan(plan_in),
+      dim_infos(dim_infos_in),
+      programs_status(GroupPrograms::Compile(plan_in, dim_infos_in).status()) {
   direct = plan.query.having == nullptr;
   for (const OutputItem& out : plan.query.outputs) {
     ResultColumn typed;
-    const OutColumn oc = ResolveOutput(out, plan, dim_infos, &typed);
-    Column col;
-    col.index = oc.index;
-    col.expr = oc.expr;
-    switch (oc.source) {
-      case OutSource::kIntCode:
-        col.kind = Column::Kind::kInt;
-        col.int_values = oc.dict->int_values().data();
-        break;
-      case OutSource::kStringCode:
-      case OutSource::kString:
-        col.kind = Column::Kind::kCode;
-        break;
-      case OutSource::kAgg:
-        col.kind = Column::Kind::kAgg;
-        break;
-      case OutSource::kExpr:
-        col.kind = Column::Kind::kExpr;
-        direct = false;
-        break;
-      case OutSource::kIntWord:
-      case OutSource::kRealWord:
-        LH_CHECK(false) << "append mode groups by key vertices only";
-        break;
-    }
-    columns.push_back(col);
+    OutColumn oc = ResolveOutput(out, plan, dim_infos, &typed);
+    if (oc.source == OutSource::kString) oc.source = OutSource::kStringCode;
+    LH_CHECK(oc.source != OutSource::kIntWord &&
+             oc.source != OutSource::kRealWord)
+        << "append mode groups by key vertices only";
+    if (oc.source == OutSource::kExpr) direct = false;
+    columns.push_back(oc);
   }
 }
 
@@ -527,17 +502,8 @@ RowChunk::RowChunk(const RowLayout* layout)
 
 void RowChunk::Reserve(size_t rows) {
   for (size_t c = 0; c < cols_.size(); ++c) {
-    switch (layout_->columns[c].kind) {
-      case RowLayout::Column::Kind::kInt:
-        cols_[c].ints.reserve(rows);
-        break;
-      case RowLayout::Column::Kind::kCode:
-        cols_[c].codes.reserve(rows);
-        break;
-      default:
-        cols_[c].reals.reserve(rows);
-        break;
-    }
+    WithValues(layout_->columns[c].source, &cols_[c],
+               [rows](auto& v) { v.reserve(rows); });
   }
 }
 
@@ -555,29 +521,19 @@ double* RowChunk::Group(const uint64_t* key) {
 void RowChunk::Close() {
   if (!is_open_) return;
   is_open_ = false;
-  const PhysicalPlan& plan = layout_->plan;
-  if (plan.query.having != nullptr &&
-      !EvalHaving(*plan.query.having, plan, open_, layout_->dim_infos, 0)) {
-    return;
-  }
-  const uint64_t* key = open_.key(0);
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    const RowLayout::Column& col = layout_->columns[c];
-    switch (col.kind) {
-      case RowLayout::Column::Kind::kInt:
-        cols_[c].ints.push_back(col.int_values[key[col.index]]);
-        break;
-      case RowLayout::Column::Kind::kCode:
-        cols_[c].codes.push_back(static_cast<uint32_t>(key[col.index]));
-        break;
-      case RowLayout::Column::Kind::kAgg:
-        cols_[c].reals.push_back(open_.Finalize(0, col.index));
-        break;
-      case RowLayout::Column::Kind::kExpr:
-        cols_[c].reals.push_back(
-            EvalOutputExpr(*col.expr, plan, open_, layout_->dim_infos, 0));
-        break;
+  if (!layout_->direct) {
+    if (!programs_.has_value()) {
+      // The layout compiled the same expressions: this cannot fail.
+      auto p = GroupPrograms::Compile(layout_->plan, layout_->dim_infos);
+      LH_CHECK(p.ok()) << p.status().ToString();
+      programs_.emplace(p.TakeValue());
     }
+    programs_->Load(open_, 0);
+    if (!programs_->Keep()) return;
+  }
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    AppendColumn(layout_->columns[c], c, open_, nullptr, 1,
+                 programs_.has_value() ? &*programs_ : nullptr, &cols_[c]);
   }
   ++num_rows_;
 }
@@ -619,12 +575,12 @@ void RowChunk::WriteRun(const uint64_t* key, int pos, const uint32_t* values,
   const std::vector<AggExec>& aggs = layout_->plan.aggs;
   const size_t base = num_rows_;
   for (size_t c = 0; c < cols_.size(); ++c) {
-    const RowLayout::Column& col = layout_->columns[c];
-    const bool varies = (col.kind == RowLayout::Column::Kind::kInt ||
-                         col.kind == RowLayout::Column::Kind::kCode) &&
+    const OutColumn& col = layout_->columns[c];
+    const bool varies = (col.source == OutSource::kIntCode ||
+                         col.source == OutSource::kStringCode) &&
                         layout_->dim_infos[col.index].vertex_pos == pos;
-    switch (col.kind) {
-      case RowLayout::Column::Kind::kInt: {
+    switch (col.source) {
+      case OutSource::kIntCode: {
         cols_[c].ints.resize(base + n);
         int64_t* out = cols_[c].ints.data() + base;
         if (varies) {
@@ -634,7 +590,7 @@ void RowChunk::WriteRun(const uint64_t* key, int pos, const uint32_t* values,
         }
         break;
       }
-      case RowLayout::Column::Kind::kCode: {
+      case OutSource::kStringCode: {
         cols_[c].codes.resize(base + n);
         uint32_t* out = cols_[c].codes.data() + base;
         if (varies) {
@@ -644,7 +600,7 @@ void RowChunk::WriteRun(const uint64_t* key, int pos, const uint32_t* values,
         }
         break;
       }
-      case RowLayout::Column::Kind::kAgg: {
+      case OutSource::kAgg: {
         cols_[c].reals.resize(base + n);
         double* out = cols_[c].reals.data() + base;
         const size_t s = col.index;
@@ -678,7 +634,7 @@ void RowChunk::WriteRun(const uint64_t* key, int pos, const uint32_t* values,
         }
         break;
       }
-      case RowLayout::Column::Kind::kExpr:
+      default:
         LH_CHECK(false) << "bulk row writer on a non-direct layout";
         break;
     }
@@ -712,7 +668,8 @@ Result<QueryResult> ConcatRows(const RowLayout& layout,
   // much as the copy, so a parallel concat sizes its columns as tasks too.
   const bool parallel = total >= kParallelConcatRows && nc > 1;
   ForEachTask(outs.size(), parallel, [&](size_t c) {
-    SizeColumn(outs[c].source, total, &result.columns[c]);
+    WithValues(outs[c].source, &result.columns[c],
+               [total](auto& v) { v.resize(total); });
   });
   ForEachTask(nc, parallel, [&](size_t i) {
     const RowChunk& chunk = *chunks[i];

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "core/expr_vm.h"
 #include "core/plan.h"
 #include "core/result.h"
 #include "storage/table.h"
@@ -106,7 +108,7 @@ class GroupAccum {
   /// Empties an unindexed table (one never probed by FindOrCreate) and
   /// starts its one group, `key`, at the identity; returns that group's
   /// accumulator row. RowChunk keeps its open group in such a table, so
-  /// EvalHaving and EvalOutputExpr read it as group 0.
+  /// its GroupPrograms read it as group 0.
   double* ResetTo(const uint64_t* key);
 
  private:
@@ -133,18 +135,48 @@ class GroupAccum {
   std::vector<uint64_t> scratch_key_;
 };
 
-/// Evaluates a post-aggregation output expression for one group.
-double EvalOutputExpr(const Expr& e, const PhysicalPlan& plan,
-                      const GroupAccum& groups,
-                      const std::vector<DimInfo>& dim_infos, size_t g);
+/// The query's post-aggregation expressions — HAVING and every output item
+/// that is neither a bare GROUP BY dimension nor a bare aggregate —
+/// compiled to ExprPrograms over one group. A program reads one column per
+/// dimension and aggregate slot it references (integer key vertices
+/// decoded, string dimensions as codes plus dictionary, key words as ints
+/// or reals, aggregates finalized) from a one-row scratch that Load()
+/// fills. The scratch makes an instance single-threaded: each concurrent
+/// user compiles its own.
+class GroupPrograms {
+ public:
+  /// kInvalidArgument when the VM rejects an expression (a bare string
+  /// literal output, say). `plan` and `dim_infos` must outlive the result.
+  [[nodiscard]] static Result<GroupPrograms> Compile(
+      const PhysicalPlan& plan, const std::vector<DimInfo>& dim_infos);
 
-/// Evaluates the HAVING predicate for one group (true = keep).
-bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
-                const GroupAccum& groups,
-                const std::vector<DimInfo>& dim_infos, size_t g);
+  // The programs point into the scratch: a move keeps its buffers in
+  // place, a copy would share them.
+  GroupPrograms(GroupPrograms&&) = default;
+  GroupPrograms& operator=(GroupPrograms&&) = default;
+
+  /// Loads group `g` of `groups` into the scratch.
+  void Load(const GroupAccum& groups, size_t g);
+  /// The loaded group passes HAVING (always, without one).
+  bool Keep() const;
+  /// Output item `i` of the loaded group; the item is an expression.
+  double Output(size_t i) const;
+
+ private:
+  GroupPrograms() = default;
+
+  const std::vector<DimInfo>* dim_infos_ = nullptr;
+  std::vector<int64_t> ints_;  // the scratch: element c is column c
+  std::vector<double> reals_;
+  std::vector<uint32_t> codes_;
+  std::vector<uint32_t> read_;  // the columns some program reads
+  std::optional<ExprProgram> having_;
+  std::vector<ExprProgram> outputs_;  // per output item; empty when direct
+};
 
 /// Decodes one hash-mode (or scalar) group table into the query's output
-/// columns, applying the query's HAVING filter when present. The row bound
+/// columns, applying the query's HAVING filter when present (both through
+/// GroupPrograms, whose compile errors it returns). The row bound
 /// of `guard` (nullable) is checked on the post-HAVING row count before
 /// any output column is allocated. The WCOJ executor's hash mode, the scan
 /// path and the pairwise baseline engines all materialize through it.
@@ -157,37 +189,48 @@ bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
 // grouped and in key order, and each chunk writes finished groups straight
 // out as result rows.
 
-/// How an append-mode query writes its result rows, resolved once per
-/// query: one column per output item.
-struct RowLayout {
-  struct Column {
-    enum class Kind : uint8_t {
-      kInt,   // integer key vertex, decoded through `int_values`
-      kCode,  // string key vertex: its dictionary code
-      kAgg,   // finalized aggregate slot
-      kExpr,  // post-aggregation output expression
-    };
-    Kind kind = Kind::kExpr;
-    size_t index = 0;  // group dimension (kInt, kCode) or aggregate slot
-    const int64_t* int_values = nullptr;  // kInt: the domain's sorted values
-    const Expr* expr = nullptr;           // kExpr
+/// Where one output column's values come from, resolved once per query so
+/// the row writers switch per column rather than per row.
+struct OutColumn {
+  enum class Source : uint8_t {
+    kIntCode,     // key vertex over an integer domain: int_values[code]
+    kStringCode,  // string dictionary code, kept encoded
+    kString,      // string dictionary code, decoded to text
+    kIntWord,     // integer or date key word
+    kRealWord,    // bit-cast double key word
+    kAgg,         // finalized aggregate slot
+    kExpr,        // post-aggregation output expression (GroupPrograms)
   };
+  Source source = Source::kExpr;
+  size_t index = 0;  // group dimension or aggregate slot
+  const Dictionary* dict = nullptr;     // the string sources
+  const int64_t* int_values = nullptr;  // kIntCode: the domain's values
+};
 
+/// How an append-mode query writes its result rows, resolved once per
+/// query: one column per output item, each kIntCode, kStringCode (a chunk
+/// keeps string codes; ConcatRows decodes them), kAgg or kExpr.
+struct RowLayout {
   RowLayout(const PhysicalPlan& plan, const std::vector<DimInfo>& dim_infos);
 
   const PhysicalPlan& plan;
   const std::vector<DimInfo>& dim_infos;
-  std::vector<Column> columns;
+  std::vector<OutColumn> columns;
   /// No HAVING and no output expression: every column is a key or an
   /// aggregate, so RowChunk's bulk writers apply.
   bool direct = true;
+  /// Why HAVING or an output expression does not compile (GroupPrograms;
+  /// each chunk compiles its own), or OK.
+  Status programs_status;
 };
 
 /// One append-mode chunk's output: its finished groups as result rows, one
-/// typed vector per output column (`ints` for kInt, `codes` for kCode,
-/// `reals` for kAgg and kExpr), in key order. The only raw accumulator
-/// state is the one group still accumulating; it closes — HAVING, then one
-/// row — when a different key arrives or on Close().
+/// typed vector per output column (`ints` for kIntCode, `codes` for
+/// kStringCode, `reals` for kAgg and kExpr), in key order. The only raw
+/// accumulator state is the one group still accumulating; it closes —
+/// HAVING, then one row — when a different key arrives or on Close(). A
+/// non-direct layout's chunk compiles its GroupPrograms at its first close;
+/// the layout's programs_status must be OK.
 class RowChunk {
  public:
   explicit RowChunk(const RowLayout* layout);
@@ -229,6 +272,7 @@ class RowChunk {
   std::vector<ResultColumn> cols_;
   GroupAccum open_;  // group 0, when is_open_: the group still accumulating
   bool is_open_ = false;
+  std::optional<GroupPrograms> programs_;  // non-direct layouts, once closed
 };
 
 /// Output rows at or above which ConcatRows sizes its columns and copies

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/block_eval.h"
-#include "core/expr_eval.h"
+#include "baseline/expr_walker.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 

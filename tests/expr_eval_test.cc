@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/expr_walker.h"
 #include "core/expr_eval.h"
 #include "obs/stats.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "util/date.h"
+#include "util/like_matcher.h"
 
 namespace levelheaded {
 namespace {

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/expr_walker.h"
 #include "core/engine.h"
 #include "core/expr_eval.h"
 #include "core/expr_vm.h"

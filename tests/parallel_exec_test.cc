@@ -256,19 +256,13 @@ QueryResult Reference(const Catalog& catalog, const std::string& sql) {
 /// counts exactly, reals equal under the total order (NaN is one value; a
 /// MIN or MAX over {-0.0, +0.0} may keep either zero, depending on fold
 /// order). The inputs are dyadic, so every sum is exact in any order.
-/// String codes are decoded first, and an integer key the reference typed
-/// as a real (implicit-distinct outputs) is compared as one.
+/// String codes are decoded first.
 void ExpectMatchesReference(QueryResult got, const QueryResult& want,
                             const std::string& what) {
   ASSERT_EQ(got.columns.size(), want.columns.size()) << what;
-  for (size_t i = 0; i < got.columns.size(); ++i) {
-    ResultColumn& c = got.columns[i];
+  for (ResultColumn& c : got.columns) {
     for (uint32_t code : c.codes) c.strs.push_back(c.dict->DecodeString(code));
     c.codes.clear();
-    if (!want.columns[i].reals.empty() && !c.ints.empty()) {
-      c.reals.assign(c.ints.begin(), c.ints.end());
-      c.ints.clear();
-    }
   }
   got.SortRows();
   ASSERT_EQ(got.num_rows, want.num_rows) << what;
@@ -289,13 +283,13 @@ void ExpectMatchesReference(QueryResult got, const QueryResult& want,
 
 /// Runs each of `queries` at LH_THREADS 1, 2 and 4 on a fresh engine over
 /// `catalog`: every run must match the reference, and the wider pools must
-/// reproduce the one-thread result bit for bit, row order included. The
-/// queries are append mode with their key columns first, in attribute
-/// order, so rows must already come in key order (chunk order, then key
-/// order within a chunk or skew sub-range).
+/// reproduce the one-thread result bit for bit, row order included. With
+/// `key_order`, the queries are append mode with their key columns first,
+/// in attribute order, so rows must already come in key order (chunk
+/// order, then key order within a chunk or skew sub-range).
 void ExpectReferenceAndThreadInvariance(
     Catalog& catalog, const std::vector<std::string>& queries,
-    const QueryOptions& options = QueryOptions()) {
+    const QueryOptions& options = QueryOptions(), bool key_order = true) {
   std::vector<QueryResult> want, first;
   for (const std::string& q : queries) want.push_back(Reference(catalog, q));
   for (int threads : {1, 2, 4}) {
@@ -307,9 +301,11 @@ void ExpectReferenceAndThreadInvariance(
       const std::string what =
           queries[i] + " @ " + std::to_string(threads) + " threads";
       if (threads == 1) {
-        QueryResult sorted = r.value();
-        sorted.SortRows();
-        ExpectBitIdentical(sorted, r.value(), what + " (key order)");
+        if (key_order) {
+          QueryResult sorted = r.value();
+          sorted.SortRows();
+          ExpectBitIdentical(sorted, r.value(), what + " (key order)");
+        }
         first.push_back(r.value());
       } else {
         ExpectBitIdentical(first[i], r.value(), what);
@@ -719,6 +715,60 @@ TEST_F(AppendModeOrderTest, CoverageMatrixMatchesReference) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.value().columns[0].strs.empty());
   EXPECT_FALSE(r.value().columns[0].codes.empty());
+
+  // (f) HAVING and output expressions beyond arithmetic: NOT, BETWEEN,
+  // CASE, EXTRACT, LIKE and string comparisons on the string key vertex,
+  // evaluated at group close.
+  const std::vector<std::string> expressions = {
+      "SELECT names.n, sum(names.w * s.v), count(*), "
+      "CASE WHEN count(*) > 8 THEN sum(names.w * s.v) ELSE -1 END, "
+      "EXTRACT(YEAR FROM count(*) * 400) FROM names, s "
+      "WHERE names.r = s.r GROUP BY names.n HAVING names.n >= 'n2' AND "
+      "NOT names.n LIKE '%5' AND names.n <> 'n7' AND "
+      "count(*) BETWEEN 2 AND 40",
+      "SELECT s.r, CASE WHEN sum(s.v * y.val) > 0 THEN 1 "
+      "WHEN sum(s.v * y.val) < 0 THEN -1 ELSE 0 END, -sum(s.v * y.val)" +
+          kSmvFrom + "GROUP BY s.r HAVING s.r BETWEEN 5 AND 50 AND "
+          "NOT count(*) < 2",
+      "SELECT s1.r, s2.c, sum(s1.v * s2.v)" + kSmmFrom +
+          "GROUP BY s1.r, s2.c HAVING NOT (s1.r BETWEEN 10 AND 20) AND "
+          "CASE WHEN s2.c > s1.r THEN 1 ELSE 0 END = 1",
+      "SELECT s.r, avg(s.v * y.val) * 4" + kSmvFrom +
+          "GROUP BY s.r HAVING avg(s.v * y.val) > -0.5",
+  };
+  ExpectReferenceAndThreadInvariance(small_, expressions);
+  auto analyzed = engine.QueryAnalyze(expressions[0]);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(MaterializePath(analyzed.value()), "rows");
+}
+
+// The coverage matrix's expression shapes (f) in hash mode: a dimension
+// that is no key vertex (an annotation) sends the groups through the
+// group table and its decode, and a one-table query through the scan
+// path, where a string key column is a string-code dimension.
+TEST_F(AppendModeOrderTest, HashModeExpressionsMatchReference) {
+  const std::vector<std::string> queries = {
+      "SELECT names.n, names.w, sum(s.v), count(*), "
+      "CASE WHEN count(*) > 4 THEN 1 ELSE 0 END FROM names, s "
+      "WHERE names.r = s.r GROUP BY names.n, names.w "
+      "HAVING names.n >= 'n2' AND NOT names.n LIKE '%5' AND "
+      "names.n <> 'n7' AND names.w BETWEEN 0 AND 1.5",
+      "SELECT s.r, y.val, sum(s.v), CASE WHEN count(*) > 1 THEN 1 ELSE 0 END, "
+      "EXTRACT(YEAR FROM count(*) * 400) FROM s, y WHERE s.c = y.i "
+      "GROUP BY s.r, y.val HAVING s.r BETWEEN 5 AND 50 AND NOT y.val < -1",
+      "SELECT names.n, count(*), sum(names.w), "
+      "CASE WHEN sum(names.w) > 2 THEN 1 ELSE 0 END FROM names "
+      "GROUP BY names.n HAVING names.n LIKE 'n%' AND names.n < 'n6' AND "
+      "NOT names.n = 'n1'",
+  };
+  ExpectReferenceAndThreadInvariance(small_, queries, QueryOptions(),
+                                     /*key_order=*/false);
+  Engine engine(&small_);
+  for (size_t i = 0; i < 2; ++i) {
+    auto r = engine.QueryAnalyze(queries[i]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(MaterializePath(r.value()), "groups") << queries[i];
+  }
 }
 
 // The partitioned trie build (engaged above ~16k rows regardless of pool

@@ -10,14 +10,17 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/expr_eval.h"
+#include "baseline/expr_walker.h"
 #include "core/result.h"
 #include "sql/logical_query.h"
+#include "util/date.h"
+#include "util/like_matcher.h"
 #include "util/logging.h"
 #include "util/total_order.h"
 
@@ -59,6 +62,24 @@ struct ReferenceGroup {
   std::vector<Value> dim_values;
 };
 
+/// The text of `e` in a post-aggregation expression over one group: a
+/// string literal, or a string GROUP BY dimension's decoded value; nullopt
+/// for anything else. String comparisons and LIKE read text, never
+/// dictionary codes, so the oracle does not depend on how dictionaries
+/// order their codes.
+inline std::optional<std::string> ReferenceGroupString(
+    const Expr& e, const std::vector<const Expr*>& dims,
+    const ReferenceGroup& acc) {
+  if (e.kind == Expr::Kind::kStringLiteral) return e.str_value;
+  for (size_t d = 0; d < dims.size(); ++d) {
+    if (ExprEquals(e, *dims[d]) &&
+        acc.dim_values[d].kind() == Value::Kind::kString) {
+      return acc.dim_values[d].AsStr();
+    }
+  }
+  return std::nullopt;
+}
+
 /// A post-aggregation expression (an output item or HAVING) over one group.
 inline double EvalReferenceGroup(const Expr& e, const LogicalQuery& q,
                                  const std::vector<const Expr*>& dims,
@@ -66,8 +87,14 @@ inline double EvalReferenceGroup(const Expr& e, const LogicalQuery& q,
   auto eval = [&](const Expr& x) {
     return EvalReferenceGroup(x, q, dims, acc);
   };
+  auto text = [&](const Expr& x) { return ReferenceGroupString(x, dims, acc); };
   for (size_t d = 0; d < dims.size(); ++d) {
-    if (ExprEquals(e, *dims[d])) return acc.dim_values[d].AsReal();
+    if (!ExprEquals(e, *dims[d])) continue;
+    if (acc.dim_values[d].kind() == Value::Kind::kString) {
+      ADD_FAILURE() << "string dimension in arithmetic: " << e.ToString();
+      return 0;
+    }
+    return acc.dim_values[d].AsReal();
   }
   switch (e.kind) {
     case Expr::Kind::kAggRef: {
@@ -79,12 +106,64 @@ inline double EvalReferenceGroup(const Expr& e, const LogicalQuery& q,
     }
     case Expr::Kind::kIntLiteral:
     case Expr::Kind::kDateLiteral:
+    case Expr::Kind::kIntervalLiteral:
       return static_cast<double>(e.int_value);
     case Expr::Kind::kRealLiteral:
       return e.real_value;
     case Expr::Kind::kUnaryMinus:
       return -eval(*e.children[0]);
+    case Expr::Kind::kNot:
+      return eval(*e.children[0]) != 0 ? 0 : 1;
+    case Expr::Kind::kBetween: {
+      const double v = eval(*e.children[0]);
+      return TotalLessEqual(eval(*e.children[1]), v) &&
+                     TotalLessEqual(v, eval(*e.children[2]))
+                 ? 1
+                 : 0;
+    }
+    case Expr::Kind::kCase: {
+      // The first true WHEN wins; no match and no ELSE is SQL NULL, which
+      // the numeric model reads as 0.
+      size_t i = 0;
+      for (; i + 1 < e.children.size(); i += 2) {
+        if (eval(*e.children[i]) != 0) return eval(*e.children[i + 1]);
+      }
+      return e.case_has_else ? eval(*e.children.back()) : 0;
+    }
+    case Expr::Kind::kExtractYear:
+      return static_cast<double>(
+          YearOfDays(static_cast<int32_t>(eval(*e.children[0]))));
+    case Expr::Kind::kLike: {
+      const std::optional<std::string> s = text(*e.children[0]);
+      if (!s.has_value()) {
+        ADD_FAILURE() << "LIKE over a non-string: " << e.ToString();
+        return 0;
+      }
+      return LikeMatcher(e.str_value).Matches(*s) ? 1 : 0;
+    }
     case Expr::Kind::kBinary: {
+      const std::optional<std::string> ls = text(*e.children[0]);
+      const std::optional<std::string> rs = text(*e.children[1]);
+      if (ls.has_value() && rs.has_value()) {
+        const int c = ls->compare(*rs);
+        switch (e.bin_op) {
+          case BinOp::kEq:
+            return c == 0 ? 1 : 0;
+          case BinOp::kNe:
+            return c != 0 ? 1 : 0;
+          case BinOp::kLt:
+            return c < 0 ? 1 : 0;
+          case BinOp::kLe:
+            return c <= 0 ? 1 : 0;
+          case BinOp::kGt:
+            return c > 0 ? 1 : 0;
+          case BinOp::kGe:
+            return c >= 0 ? 1 : 0;
+          default:
+            ADD_FAILURE() << "string operands in " << e.ToString();
+            return 0;
+        }
+      }
       double l = eval(*e.children[0]), r = eval(*e.children[1]);
       switch (e.bin_op) {
         case BinOp::kAdd:
@@ -237,14 +316,18 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
   // Materialize outputs.
   QueryResult result;
   result.num_rows = groups.size();
-  for (const OutputItem& o : q.outputs) {
+  for (size_t i = 0; i < q.outputs.size(); ++i) {
+    const OutputItem& o = q.outputs[i];
     ResultColumn col;
     col.name = o.name;
     size_t g = 0;
     for (const auto& [key, acc] : groups) {
       (void)key;
       Value v;
-      if (o.direct_group_index >= 0) {
+      if (implicit_distinct) {
+        // Output i is dimension i, typed as its values (int64 for keys).
+        v = acc.dim_values[i];
+      } else if (o.direct_group_index >= 0) {
         v = acc.dim_values[o.direct_group_index];
       } else if (o.direct_agg_slot >= 0) {
         const int slot = o.direct_agg_slot;
@@ -258,12 +341,19 @@ inline QueryResult ReferenceExecute(const LogicalQuery& q) {
         v = Value::Real(EvalReferenceGroup(*o.expr, q, dims, acc));
       }
       // Typed append: the column's representation is fixed by the first
-      // value; numeric values coerce to it (Int vs Real can vary per row
-      // for double-typed dimensions).
+      // value, numeric values coerce to it, and a real-typed column is
+      // real even when its first value is integral (EvalValue renders
+      // integral reals as ints).
       if (g == 0) {
+        const Expr& x = *o.expr;
+        const bool real_column =
+            x.kind == Expr::Kind::kColumnRef &&
+            IsRealType(q.relations[x.bound_rel].table->schema().column(
+                x.bound_col).type);
         col.type = v.kind() == Value::Kind::kString ? ValueType::kString
-                   : v.kind() == Value::Kind::kInt  ? ValueType::kInt64
-                                                    : ValueType::kDouble;
+                   : v.kind() == Value::Kind::kInt && !real_column
+                       ? ValueType::kInt64
+                       : ValueType::kDouble;
       }
       if (col.type == ValueType::kString) {
         col.strs.push_back(v.AsStr());

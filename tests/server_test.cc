@@ -400,6 +400,44 @@ TEST_F(ServerTest, MistypedQueriesGetErrorResponsesNotCrashes) {
   server.Stop();
 }
 
+TEST_F(ServerTest, GroupExpressionsRunOverTheWire) {
+  // HAVING and output expressions outside the old post-aggregation walk's
+  // grammar (CASE over an aggregate, here) used to LH_CHECK-abort the
+  // serving process. They run as compiled programs now: the scan path and
+  // a key-vertex join (append mode) both answer, and a bare string-literal
+  // output is an error response. The connection stays up throughout.
+  Server server(engine_.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const char* queries[] = {
+      "SELECT src, CASE WHEN count(*) > 8 THEN 1 ELSE 0 END FROM edge "
+      "GROUP BY src ORDER BY src",
+      "SELECT e1.src, CASE WHEN sum(e2.w) > 40 THEN 1 ELSE 0 END "
+      "FROM edge e1, edge e2 WHERE e1.dst = e2.src GROUP BY e1.src "
+      "HAVING CASE WHEN count(*) > 60 THEN 1 ELSE 0 END = 1",
+  };
+  obs::JsonValue resp;
+  for (const char* sql : queries) {
+    auto direct = engine_->Query(sql);
+    ASSERT_TRUE(direct.ok()) << sql << ": " << direct.status().ToString();
+    ASSERT_GT(direct.value().num_rows, 0u) << sql;
+    ASSERT_TRUE(client.RoundTrip(QueryLine(sql), &resp)) << sql;
+    ASSERT_TRUE(IsOk(resp)) << sql;
+    EXPECT_EQ(NumericRows(resp), DirectRows(direct.value())) << sql;
+  }
+  ASSERT_TRUE(client.RoundTrip(
+      QueryLine("SELECT src, 'x' FROM edge GROUP BY src"), &resp));
+  EXPECT_FALSE(IsOk(resp));
+  EXPECT_EQ(ErrorCode(resp), "InvalidArgument");
+
+  obs::JsonValue ok_resp;
+  ASSERT_TRUE(client.RoundTrip(QueryLine(kTriangleSql), &ok_resp));
+  EXPECT_TRUE(IsOk(ok_resp));
+  server.Stop();
+}
+
 TEST_F(ServerTest, OversizedLineGetsErrorThenClose) {
   ServerOptions options;
   options.max_request_bytes = 1024;

@@ -1,14 +1,18 @@
 // End-to-end coverage for the SQL features beyond the paper's benchmark
-// subset: HAVING, ORDER BY (+ ordinals, DESC), LIMIT, and IN lists —
-// across the WCOJ engine and the pairwise baselines.
+// subset: HAVING, ORDER BY (+ ordinals, DESC), LIMIT, IN lists, and
+// post-aggregation expressions of every kind the binder accepts — across
+// the WCOJ engine and the pairwise baselines.
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/pairwise_engine.h"
 #include "core/engine.h"
+#include "obs/profile.h"
 
 namespace levelheaded {
 namespace {
@@ -207,6 +211,209 @@ TEST_F(SqlFeaturesTest, ErrorCases) {
   EXPECT_FALSE(bad3.ok());  // ordinal out of range
   auto bad4 = engine_->Query("SELECT n_name FROM nation LIMIT -3");
   EXPECT_FALSE(bad4.ok());
+}
+
+/// HAVING and output expressions beyond arithmetic over aggregates: string
+/// comparisons and LIKE on string dimensions, CASE over aggregates,
+/// EXTRACT and string-literal folds. Each shape used to abort the process
+/// in the post-aggregation evaluator; they run as compiled programs over
+/// the group's columns now. Schemas: `artists` (a string annotation
+/// dimension, `country`), `t` and `u` (a string key vertex, `k`).
+class GroupExpressionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Table* artists =
+        catalog_
+            .CreateTable(TableSchema(
+                "artists",
+                {ColumnSpec::Key("artist_id", ValueType::kInt64, "artist"),
+                 ColumnSpec::Annotation("country", ValueType::kString)}))
+            .ValueOrDie();
+    // UK x2, US, CA.
+    const char* countries[] = {"UK", "US", "CA", "UK"};
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(artists
+                      ->AppendRow({Value::Int(i + 1), Value::Str(countries[i])})
+                      .ok());
+    }
+    Table* albums =
+        catalog_
+            .CreateTable(TableSchema(
+                "albums",
+                {ColumnSpec::Key("album_id", ValueType::kInt64, "album"),
+                 ColumnSpec::Key("a_artist_id", ValueType::kInt64, "artist"),
+                 ColumnSpec::Annotation("price", ValueType::kDouble)}))
+            .ValueOrDie();
+    // (album, artist, price): UK's artists 1 and 4 hold 3 albums, US's 1,
+    // CA's 2.
+    const int album_artist[] = {1, 1, 2, 3, 3, 4};
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(albums
+                      ->AppendRow({Value::Int(10 + i),
+                                   Value::Int(album_artist[i]),
+                                   Value::Real(0.5 * (i + 1))})
+                      .ok());
+    }
+    Table* t = catalog_
+                   .CreateTable(TableSchema(
+                       "t", {ColumnSpec::Key("k", ValueType::kString, "kdom"),
+                             ColumnSpec::Annotation("v", ValueType::kDouble)}))
+                   .ValueOrDie();
+    // sum(v): a 1.75 (2 rows), b 2, c 3.
+    const std::pair<const char*, double> t_rows[] = {
+        {"a", 1.5}, {"b", 2.0}, {"a", 0.25}, {"c", 3.0}};
+    for (const auto& [k, v] : t_rows) {
+      ASSERT_TRUE(t->AppendRow({Value::Str(k), Value::Real(v)}).ok());
+    }
+    Table* u = catalog_
+                   .CreateTable(TableSchema(
+                       "u", {ColumnSpec::Key("k", ValueType::kString, "kdom"),
+                             ColumnSpec::Annotation("w", ValueType::kDouble)}))
+                   .ValueOrDie();
+    // t JOIN u: a 2 tuples (sum(v * w) 3.5), b 1 (2), c 2 (13.5).
+    const std::pair<const char*, double> u_rows[] = {
+        {"a", 2.0}, {"b", 1.0}, {"c", 0.5}, {"c", 4.0}};
+    for (const auto& [k, w] : u_rows) {
+      ASSERT_TRUE(u->AppendRow({Value::Str(k), Value::Real(w)}).ok());
+    }
+    ASSERT_TRUE(catalog_.Finalize().ok());
+  }
+
+  /// A result's rows as "v1|v2|..." strings, sorted.
+  static std::vector<std::string> Rows(const QueryResult& r) {
+    std::vector<std::string> rows;
+    for (size_t i = 0; i < r.num_rows; ++i) {
+      std::string row;
+      for (size_t c = 0; c < r.columns.size(); ++c) {
+        if (c > 0) row += '|';
+        row += r.GetValue(i, static_cast<int>(c)).ToString();
+      }
+      rows.push_back(row);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  /// Runs `sql` on the engine and on every pairwise baseline mode; each
+  /// must return exactly `want` (sorted rows).
+  void Expect(const std::string& sql, const std::vector<std::string>& want) {
+    Engine engine(&catalog_);
+    auto r = engine.Query(sql);
+    ASSERT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    EXPECT_EQ(Rows(r.value()), want) << sql;
+    for (BaselineMode mode :
+         {BaselineMode::kVectorized, BaselineMode::kMaterialized,
+          BaselineMode::kInterpreted}) {
+      PairwiseEngine baseline(&catalog_, mode);
+      auto b = baseline.Query(sql);
+      ASSERT_TRUE(b.ok()) << sql << " on " << BaselineModeName(mode) << "\n"
+                          << b.status().ToString();
+      EXPECT_EQ(Rows(b.value()), want) << sql << " on "
+                                       << BaselineModeName(mode);
+    }
+  }
+
+  /// The engine's materialize path for `sql`: "rows" in append mode,
+  /// "groups" in hash mode.
+  std::string MaterializePath(const std::string& sql) {
+    Engine engine(&catalog_);
+    auto r = engine.QueryAnalyze(sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+    if (!r.ok()) return "";
+    for (const obs::SpanRecord& span : r.value().profile->spans) {
+      if (span.name == "materialize") return span.detail;
+    }
+    return "";
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(GroupExpressionTest, StringComparisonOnStringDimension) {
+  Expect("SELECT country, count(*) FROM artists GROUP BY country "
+         "HAVING country < 'UK'",
+         {"CA|1"});
+  Expect("SELECT country, sum(price) FROM albums, artists "
+         "WHERE a_artist_id = artist_id GROUP BY country "
+         "HAVING country >= 'UK'",
+         {"UK|4.5", "US|1.5"});
+}
+
+TEST_F(GroupExpressionTest, StringKeyComparisonAndAggregate) {
+  Expect("SELECT k, sum(v) FROM t GROUP BY k HAVING k > 'a' AND sum(v) > 1",
+         {"b|2", "c|3"});
+}
+
+TEST_F(GroupExpressionTest, AverageIsFinalizedBeforeUse) {
+  // avg(v): a 0.875, b 2, c 3. Read unfinalized, a's AVG would be its sum,
+  // 1.75, and its output 3.5.
+  Expect("SELECT k, avg(v) * 2 FROM t GROUP BY k HAVING avg(v) < 2.5",
+         {"a|1.75", "b|4"});
+}
+
+TEST_F(GroupExpressionTest, LikeOnStringDimension) {
+  Expect("SELECT country, count(*) FROM artists GROUP BY country "
+         "HAVING country LIKE 'U%'",
+         {"UK|2", "US|1"});
+  Expect("SELECT country, count(*) FROM albums, artists "
+         "WHERE a_artist_id = artist_id GROUP BY country "
+         "HAVING NOT country LIKE 'U%'",
+         {"CA|2"});
+}
+
+TEST_F(GroupExpressionTest, CaseOverAggregateOutput) {
+  Expect("SELECT country, CASE WHEN count(*) > 1 THEN 1 ELSE 0 END "
+         "FROM artists GROUP BY country",
+         {"CA|0", "UK|1", "US|0"});
+}
+
+TEST_F(GroupExpressionTest, ExtractOfLiteralOutput) {
+  // Day 1000 after the epoch falls in 1972.
+  Expect("SELECT EXTRACT(YEAR FROM 1000), count(*) FROM artists", {"1972|4"});
+}
+
+TEST_F(GroupExpressionTest, StringLiteralComparisonFolds) {
+  Expect("SELECT k, count(*) FROM t GROUP BY k HAVING 'a' < 'b'",
+         {"a|2", "b|1", "c|1"});
+  Expect("SELECT k, count(*) FROM t GROUP BY k HAVING 'b' < 'a'", {});
+}
+
+TEST_F(GroupExpressionTest, AppendModeKeyVertexHavingLikeAndCase) {
+  // Every GROUP BY dimension is a key vertex, so each chunk closes its
+  // groups itself (append mode): HAVING and CASE run at group close.
+  const std::string like =
+      "SELECT t.k, sum(t.v * u.w) FROM t, u WHERE t.k = u.k GROUP BY t.k "
+      "HAVING t.k LIKE 'a%' OR t.k LIKE 'c%'";
+  EXPECT_EQ(MaterializePath(like), "rows");
+  Expect(like, {"a|3.5", "c|13.5"});
+  const std::string cased =
+      "SELECT t.k, CASE WHEN count(*) > 1 THEN sum(t.v * u.w) ELSE -1 END "
+      "FROM t, u WHERE t.k = u.k GROUP BY t.k";
+  EXPECT_EQ(MaterializePath(cased), "rows");
+  Expect(cased, {"a|3.5", "b|-1", "c|13.5"});
+}
+
+TEST_F(GroupExpressionTest, BareStringLiteralOutputIsAnError) {
+  const std::string sql = "SELECT k, 'x' FROM t GROUP BY k";
+  Engine engine(&catalog_);
+  auto r = engine.Query(sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  for (BaselineMode mode :
+       {BaselineMode::kVectorized, BaselineMode::kMaterialized,
+        BaselineMode::kInterpreted}) {
+    PairwiseEngine baseline(&catalog_, mode);
+    auto b = baseline.Query(sql);
+    ASSERT_FALSE(b.ok()) << BaselineModeName(mode);
+    EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument)
+        << BaselineModeName(mode) << ": " << b.status().ToString();
+  }
+  // The same shape in append mode fails before any chunk runs.
+  auto join = engine.Query(
+      "SELECT t.k, 'x' FROM t, u WHERE t.k = u.k GROUP BY t.k");
+  ASSERT_FALSE(join.ok());
+  EXPECT_EQ(join.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
