@@ -91,18 +91,35 @@ AnnotationMerge MergeForAgg(AggFunc f) {
   }
 }
 
-/// Evaluates a single-relation aggregate argument for every base row.
-Result<std::vector<double>> ComputeRowExpr(const Expr& arg,
-                                           const Table& table) {
+/// Evaluates a single-relation aggregate argument at the rows a trie build
+/// reads: the selected rows, or every row when `selection` is null. The
+/// result is indexed by row id; rows outside the selection stay 0 and are
+/// never read. Chunks of whole batches, cut by the row count alone, run on
+/// the global pool.
+Result<std::vector<double>> ComputeRowExpr(
+    const Expr& arg, const Table& table,
+    const std::vector<uint32_t>* selection) {
   ExprProgram prog;
   LH_RETURN_NOT_OK(ExprProgram::Compile(arg, TableResolver(table), &prog));
-  const size_t n = table.num_rows();
-  std::vector<double> out(n);
-  for (size_t r = 0; r < n; r += ExprProgram::kBatch) {
-    const int m =
-        static_cast<int>(std::min<size_t>(ExprProgram::kBatch, n - r));
-    prog.EvalRange(static_cast<uint32_t>(r), m, out.data() + r);
-  }
+  std::vector<double> out(table.num_rows());
+  const int64_t m = static_cast<int64_t>(
+      selection != nullptr ? selection->size() : table.num_rows());
+  constexpr int kB = ExprProgram::kBatch;
+  const int64_t grain = (AdaptiveGrain(m, 16384) + kB - 1) / kB * kB;
+  ThreadPool::Global().ParallelChunks(
+      0, m, grain, [&](int, int64_t lo, int64_t hi) {
+        double buf[kB];
+        for (int64_t r = lo; r < hi; r += kB) {
+          const int k = static_cast<int>(std::min<int64_t>(kB, hi - r));
+          if (selection == nullptr) {
+            prog.EvalRange(static_cast<uint32_t>(r), k, out.data() + r);
+            continue;
+          }
+          const uint32_t* rows = selection->data() + r;
+          prog.EvalGather(rows, k, buf);
+          for (int j = 0; j < k; ++j) out[rows[j]] = buf[j];
+        }
+      });
   return out;
 }
 
@@ -124,12 +141,19 @@ ColumnSource AnnotationColumn(const AnnotationBuffer& buf) {
   return col;
 }
 
+/// Each filtered relation's selected rows, indexed by relation: the first
+/// trie build of a relation in a query runs its filter, and every later
+/// build of it (another GHD node, another key order) reuses the rows.
+using Selections = std::vector<std::optional<std::vector<uint32_t>>>;
+
 /// Builds (or fetches from cache) the trie of one relation over the key
-/// columns `level_cols` (query levels first, ablation extras last).
+/// columns `level_cols` (query levels first, ablation extras last). The
+/// span carries the build's layers: filter, aggregate-argument compute and
+/// Trie::Build times, the rows selected and whether they came presorted.
 Result<BuiltRelation> BuildRelationTrie(
     const PhysicalPlan& plan, const Catalog& catalog, int rel,
     const std::vector<int>& level_cols, int num_query_levels,
-    bool attach_aggregates, TrieCache* cache,
+    bool attach_aggregates, TrieCache* cache, Selections* selections,
     QueryResult::Timing* timing, obs::QueryObs* qobs) {
   obs::TraceSpan span(qobs != nullptr ? &qobs->trace : nullptr, "trie_build");
   BuiltRelation out;
@@ -201,24 +225,35 @@ Result<BuiltRelation> BuildRelationTrie(
   out.count_annot = static_cast<int>(spec.annotations.size());
   out.annot_merge.push_back(AnnotationMerge::kSum);
 
-  std::vector<uint32_t> selection;
   const bool filtered = !ref.filters.empty();
+  double filter_ms = 0;
   if (filtered) {
-    WallTimer t;
-    std::vector<const Expr*> conjuncts;
-    for (const ExprPtr& f : ref.filters) conjuncts.push_back(f.get());
-    LH_ASSIGN_OR_RETURN(RowFilter filter,
-                        RowFilter::Compile(conjuncts, *ref.table));
-    selection = filter.SelectedRows();
-    spec.selection = &selection;
-    timing->filter_ms += t.ElapsedMillis();
-  }
-
-  auto build_trie = [&]() -> Result<TrieCache::Built> {
-    for (size_t k = 0; k < computed_args.size(); ++k) {
-      LH_ASSIGN_OR_RETURN(computed[k],
-                          ComputeRowExpr(*computed_args[k], *ref.table));
+    std::optional<std::vector<uint32_t>>& selection = (*selections)[rel];
+    if (!selection.has_value()) {
+      WallTimer t;
+      std::vector<const Expr*> conjuncts;
+      for (const ExprPtr& f : ref.filters) conjuncts.push_back(f.get());
+      LH_ASSIGN_OR_RETURN(RowFilter filter,
+                          RowFilter::Compile(conjuncts, *ref.table));
+      selection = filter.SelectedRows();
+      filter_ms = t.ElapsedMillis();
+      timing->filter_ms += filter_ms;
     }
+    spec.selection = &*selection;
+  }
+  const size_t selected =
+      filtered ? spec.selection->size() : ref.table->num_rows();
+
+  double compute_ms = 0, build_ms = 0;
+  auto build_trie = [&]() -> Result<TrieCache::Built> {
+    WallTimer compute_timer;
+    for (size_t k = 0; k < computed_args.size(); ++k) {
+      LH_ASSIGN_OR_RETURN(
+          computed[k],
+          ComputeRowExpr(*computed_args[k], *ref.table, spec.selection));
+    }
+    compute_ms = compute_timer.ElapsedMillis();
+    WallTimer build_timer;
     std::string final_signature = signature;
     Result<Trie> built = Trie::Build(spec);
     std::vector<uint32_t> rowid;
@@ -240,6 +275,7 @@ Result<BuiltRelation> BuildRelationTrie(
       final_signature += "|rowid";
       built = Trie::Build(retry);
     }
+    build_ms = build_timer.ElapsedMillis();
     if (!built.ok()) return built.status();
     return TrieCache::Built{
         std::move(final_signature),
@@ -275,14 +311,18 @@ Result<BuiltRelation> BuildRelationTrie(
   // distinct leaf, so the old test was trivially true even when the queried
   // prefix duplicates.
   out.unique_keys =
-      out.trie->level(num_query_levels - 1).num_elements() ==
-      (filtered ? selection.size() : ref.table->num_rows());
+      out.trie->level(num_query_levels - 1).num_elements() == selected;
   const char* how_detail = how == TrieCache::Outcome::kHit ? " [cached]"
                            : how == TrieCache::Outcome::kWaited
                                ? " [waited]"
                                : " [built]";
   span.SetDetail(ref.table->schema().name() +
                  (filtered ? " [filtered]" : how_detail));
+  span.AddMetric("filter_ms", filter_ms);
+  span.AddMetric("compute_ms", compute_ms);
+  span.AddMetric("build_ms", build_ms);
+  span.AddMetric("selected", static_cast<double>(selected));
+  span.AddMetric("sorted", out.trie->presorted() ? 1 : 0);
   span.AddMetric("tuples", static_cast<double>(out.trie->num_tuples()));
   return out;
 }
@@ -398,27 +438,60 @@ class NodeExec {
   void set_last_domain_size(uint32_t n) { last_domain_size_ = n; }
 
   /// Existential run (Yannakakis child nodes): the distinct first-attribute
-  /// values that extend to at least one full match.
+  /// values that extend to at least one full match, ascending. The root
+  /// set is chunked like PrepareChunks' and the chunks run on the global
+  /// pool, each on a freelist Worker; their outputs concatenate in chunk
+  /// order. Root sets of at most kMinExistentialGrain values run inline.
   std::vector<uint32_t> RunExistential() {
-    Worker w;
-    InitWorker(&w, 0);
-    std::vector<uint32_t> out;
-    const SetView* root = ComputeSet(&w, 0);
-    if (root->empty()) return out;
-    uint64_t iter = 0;
-    root->ForEach([&](uint32_t v, uint32_t r) {
-      // ForEach has no break; after an abort the remaining values fall
-      // through the one-flag-load fast path.
-      if (guard_active_ && PollAbort(iter++, /*rows_sofar=*/0)) return;
-      if (!Descend(&w, 0, v, r)) return;
-      if (node_.attr_order.size() == 1 || Satisfiable(&w, 1)) {
-        out.push_back(v);
+    seed_ = std::make_unique<Worker>();
+    InitWorker(seed_.get(), key_width_);
+    const SetView* root = ComputeSet(seed_.get(), 0);
+    if (root->empty()) {
+      AbsorbWorkers();
+      return {};
+    }
+    root_values_ = root->ToVector();
+    root_base_ = seed_->single_base[0];
+    const int64_t n = static_cast<int64_t>(root_values_.size());
+    const int64_t grain = AdaptiveGrain(n, kMinExistentialGrain);
+    const int64_t num_chunks = (n + grain - 1) / grain;
+    const bool one_level = node_.attr_order.size() == 1;
+    std::vector<std::vector<uint32_t>> parts(num_chunks);
+    ThreadPool& pool = ThreadPool::Global();
+    pool.ParallelFor(0, num_chunks, 1, [&](int, int64_t c) {
+      std::unique_ptr<Worker> holder = AcquireWorker();
+      Worker& w = *holder;
+      w.single_base[0] = root_base_;
+      const int64_t lo = c * grain;
+      const int64_t hi = std::min(n, lo + grain);
+      // A chunk-local vector: neighbouring chunks' headers share cache
+      // lines.
+      std::vector<uint32_t> out;
+      for (int64_t i = lo; i < hi; ++i) {
+        if (guard_active_ &&
+            PollAbort(static_cast<uint64_t>(i - lo), /*rows_sofar=*/0)) {
+          break;
+        }
+        // root_values_ is the root set in order, so index i is the rank.
+        const uint32_t v = root_values_[i];
+        if (!Descend(&w, 0, v, static_cast<uint32_t>(i))) continue;
+        if (one_level || Satisfiable(&w, 1)) out.push_back(v);
       }
+      w.leaf_count += out.size();
+      parts[c] = std::move(out);
+      ReleaseWorker(std::move(holder));
     });
-    w.leaf_count += out.size();
-    AbsorbWorker(w);
-    return out;
+    AbsorbWorkers();
+    return ConcatInOrder(&parts, pool);
   }
+
+  /// Root values below which an existential run stays on the calling
+  /// thread: a Q8 root costs ~50 ns, so a chunk of 1024 outweighs its
+  /// dispatch.
+  static constexpr int64_t kMinExistentialGrain = 1024;
+
+  /// Root values of the last RunExistential or PrepareChunks.
+  size_t num_roots() const { return root_values_.size(); }
 
   // ---- Phase-split aggregate run (the full run = PrepareChunks, then
   // RunChunk for every chunk in any order / from any thread, then
@@ -1882,15 +1955,18 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
   } else {
     cols_b = {col_of(*rp_b, shared)};
   }
+  Selections selections(plan.query.relations.size());
   LH_ASSIGN_OR_RETURN(
       BuiltRelation a,
       BuildRelationTrie(plan, catalog, rp_a->rel, cols_a, 2,
-                        /*attach_aggregates=*/false, cache, timing, qobs));
+                        /*attach_aggregates=*/false, cache, &selections,
+                        timing, qobs));
   LH_ASSIGN_OR_RETURN(
       BuiltRelation b,
       BuildRelationTrie(plan, catalog, rp_b->rel, cols_b,
                         static_cast<int>(cols_b.size()),
-                        /*attach_aggregates=*/false, cache, timing, qobs));
+                        /*attach_aggregates=*/false, cache, &selections,
+                        timing, qobs));
 
   // The aggregate argument is colref(A.v) * colref(B.v); fetch each side's
   // annotation buffer (leaf order == row-major dense layout).
@@ -2022,6 +2098,7 @@ struct JoinState {
     // Build tries for every node's relations. Each build is one unit of
     // cancellable work: the guard is polled between builds, not inside one.
     built.resize(plan.nodes.size());
+    selections.resize(plan.query.relations.size());
     for (size_t ni = 0; ni < plan.nodes.size(); ++ni) {
       for (const RelationPlan& rp : plan.nodes[ni].relations) {
         if (guard != nullptr) LH_RETURN_NOT_OK(guard->Check());
@@ -2036,8 +2113,8 @@ struct JoinState {
             BuiltRelation br,
             BuildRelationTrie(plan, catalog, rp.rel, level_cols,
                               static_cast<int>(rp.levels_col.size()),
-                              /*attach_aggregates=*/true, cache, timing,
-                              qobs));
+                              /*attach_aggregates=*/true, cache, &selections,
+                              timing, qobs));
         built[ni].push_back(std::make_unique<BuiltRelation>(std::move(br)));
       }
     }
@@ -2053,8 +2130,8 @@ struct JoinState {
       LH_ASSIGN_OR_RETURN(
           BuiltRelation br,
           BuildRelationTrie(plan, catalog, lp.rel, {col}, 1,
-                            /*attach_aggregates=*/false, cache, timing,
-                            qobs));
+                            /*attach_aggregates=*/false, cache, &selections,
+                            timing, qobs));
       lookup_built.push_back(std::make_unique<BuiltRelation>(std::move(br)));
       lookup_rel_ids.push_back(lp.rel);
       int pos = -1;
@@ -2079,6 +2156,7 @@ struct JoinState {
                     &no_dims[0], guard);
       std::vector<uint32_t> codes = exec.RunExistential();
       LH_RETURN_NOT_OK(exec.abort_status());
+      span.AddMetric("roots", static_cast<double>(exec.num_roots()));
       span.AddMetric("tuples", static_cast<double>(codes.size()));
       if (qobs != nullptr) {
         qobs->node_tuples[ni] = codes.size();
@@ -2166,6 +2244,7 @@ struct JoinState {
   const QueryGuard* guard;
   obs::Trace* trace;
 
+  Selections selections;
   std::vector<std::vector<std::unique_ptr<BuiltRelation>>> built;
   std::vector<std::unique_ptr<BuiltRelation>> lookup_built;
   std::vector<int> lookup_rel_ids, lookup_positions;
@@ -2193,16 +2272,18 @@ Result<QueryResult> ExecuteJoin(const PhysicalPlan& plan,
   return state.Gather();
 }
 
-QueryResult EmptyResult(const PhysicalPlan& plan) {
-  QueryResult result;
-  for (const OutputItem& out : plan.query.outputs) {
-    ResultColumn col;
-    col.name = out.name;
-    col.type = ValueType::kDouble;
-    result.columns.push_back(std::move(col));
+/// The result of a query whose WHERE is always false: an empty group table
+/// materialized as the query's own path would, so the columns are typed
+/// and HAVING and output expressions compile (or fail) just the same.
+Result<QueryResult> EmptyResult(const PhysicalPlan& plan,
+                                const Catalog& catalog) {
+  std::vector<DimInfo> dim_infos;
+  for (const GroupDimExec& d : plan.dims) {
+    dim_infos.push_back(
+        ClassifyDim(d, plan, catalog, /*join_path=*/!plan.scan_only));
   }
-  result.num_rows = 0;
-  return result;
+  const GroupAccum empty(dim_infos.size(), &plan.aggs);
+  return MaterializeGroups(plan, empty, dim_infos);
 }
 
 }  // namespace
@@ -2214,8 +2295,8 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
                                 const QueryGuard* guard) {
   if (!plan.options.use_trie_cache) cache = nullptr;
   if (plan.query.always_empty) {
-    QueryResult r = EmptyResult(plan);
-    r.timing = *timing;
+    Result<QueryResult> r = EmptyResult(plan, catalog);
+    if (r.ok()) r.value().timing = *timing;
     return r;
   }
   Result<QueryResult> result =

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "util/like_matcher.h"
+#include "util/thread_pool.h"
 
 namespace levelheaded {
 
@@ -141,10 +142,7 @@ Result<RowFilter> RowFilter::Compile(
                 : std::make_shared<const LikeMatcher>(e->str_value);
         pred.kind = Pred::Kind::kDictBitmap;
         pred.col = e->children[0]->bound_col;
-        pred.bitmap.resize(cd.dict->size());
-        for (uint32_t c = 0; c < cd.dict->size(); ++c) {
-          pred.bitmap[c] = matcher->Matches(cd.dict->DecodeString(c)) ? 1 : 0;
-        }
+        pred.bitmap = LikeBitmap(*matcher, *cd.dict);
         filter.preds_.push_back(std::move(pred));
         continue;
       }
@@ -157,9 +155,13 @@ Result<RowFilter> RowFilter::Compile(
   return filter;
 }
 
-int RowFilter::CompactPred(const Pred& p, uint32_t base,
-                           const uint32_t* sel_in, int n,
-                           uint32_t* sel_out) const {
+// Cache-line aligned, as are the scan and VM loops (expr_kernels.cc,
+// expr_vm.cc): their timing then does not move with the size of unrelated
+// code linked before them.
+[[gnu::aligned(64)]] int RowFilter::CompactPred(const Pred& p, uint32_t base,
+                                                const uint32_t* sel_in,
+                                                int n,
+                                                uint32_t* sel_out) const {
   int k = 0;
   // `body` is instantiated twice — once streaming the dense range, once
   // gathering through sel_in — so each predicate loop stays tight with no
@@ -287,16 +289,28 @@ int RowFilter::CompactPred(const Pred& p, uint32_t base,
 }
 
 std::vector<uint32_t> RowFilter::SelectedRows() const {
-  std::vector<uint32_t> out;
-  const uint32_t n = static_cast<uint32_t>(table_->num_rows());
+  const int64_t n = static_cast<int64_t>(table_->num_rows());
   constexpr int kB = ExprProgram::kBatch;
-  uint32_t sel[kB];
-  for (uint32_t base = 0; base < n; base += kB) {
-    const int m = static_cast<int>(std::min<uint32_t>(kB, n - base));
-    const int kept = FilterRange(base, m, sel);
-    out.insert(out.end(), sel, sel + kept);
-  }
-  return out;
+  // Whole batches per chunk, cut by the row count alone; the chunks'
+  // selections concatenate in chunk order, so the result is ascending and
+  // the same at every thread count.
+  const int64_t grain = (AdaptiveGrain(n, kMinChunkRows) + kB - 1) / kB * kB;
+  const int64_t num_chunks = (n + grain - 1) / grain;
+  std::vector<std::vector<uint32_t>> parts(num_chunks);
+  ThreadPool& pool = ThreadPool::Global();
+  pool.ParallelFor(0, num_chunks, 1, [&](int, int64_t c) {
+    const int64_t hi = std::min(n, (c + 1) * grain);
+    uint32_t sel[kB];
+    // A chunk-local vector: neighbouring chunks' headers share cache lines.
+    std::vector<uint32_t> out;
+    for (int64_t base = c * grain; base < hi; base += kB) {
+      const int m = static_cast<int>(std::min<int64_t>(kB, hi - base));
+      const int kept = FilterRange(static_cast<uint32_t>(base), m, sel);
+      out.insert(out.end(), sel, sel + kept);
+    }
+    parts[c] = std::move(out);
+  });
+  return ConcatInOrder(&parts, pool);
 }
 
 }  // namespace levelheaded

@@ -92,9 +92,9 @@ Result<std::shared_ptr<const CompiledScan>> CompiledScan::Compile(
   return std::shared_ptr<const CompiledScan>(std::move(scan));
 }
 
-uint64_t CompiledScan::ExecuteChunk(int64_t lo, int64_t hi,
-                                    GroupAccum* groups,
-                                    const std::function<bool()>& poll) const {
+[[gnu::aligned(64)]] uint64_t CompiledScan::ExecuteChunk(
+    int64_t lo, int64_t hi, GroupAccum* groups,
+    const std::function<bool()>& poll) const {
   constexpr int kB = ExprProgram::kBatch;
   const size_t nd = dims_.size();
   const size_t na = aggs_.size();

@@ -37,6 +37,15 @@
 
 namespace levelheaded {
 
+class LikeMatcher;
+
+/// One byte per code of `dict`: 1 where the code's string matches
+/// `matcher`. Filled in parallel chunks over the dictionary. Every LIKE over
+/// a dictionary column compiles to this bitmap (the VM's kDictBitmap and
+/// RowFilter's typed LIKE predicate).
+std::vector<uint8_t> LikeBitmap(const LikeMatcher& matcher,
+                                const Dictionary& dict);
+
 /// A column as a program reads it: one typed buffer and the index source
 /// that addresses it.
 struct ColumnSource {

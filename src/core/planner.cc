@@ -44,7 +44,8 @@ bool RelationIsDense(const RelationRef& rel, const Catalog& catalog,
 
 /// Detects the dense GEMM/GEMV shapes (§III-D): a single-node plan over two
 /// completely dense relations joined on one vertex, with a single
-/// SUM(a.v * b.v) aggregate and key-vertex-only grouping.
+/// SUM(a.v * b.v) aggregate, key-vertex-only grouping, and outputs that are
+/// bare keys or the bare SUM.
 DenseKernel DetectDenseKernel(const PhysicalPlan& plan,
                               const Catalog& catalog) {
   if (!plan.options.enable_blas || !plan.options.use_attribute_elimination) {
@@ -66,6 +67,13 @@ DenseKernel DetectDenseKernel(const PhysicalPlan& plan,
   }
   for (const GroupDimExec& d : plan.dims) {
     if (d.vertex < 0) return DenseKernel::kNone;
+  }
+  // The kernel writes bare keys and the bare SUM; any other output (an
+  // expression over the SUM) runs on the join path as a group program.
+  for (const OutputItem& out : plan.query.outputs) {
+    if (out.direct_group_index < 0 && out.direct_agg_slot != 0) {
+      return DenseKernel::kNone;
+    }
   }
   for (const RelationPlan& rp : plan.nodes[0].relations) {
     if (rp.rel < 0 || rp.filtered) return DenseKernel::kNone;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <utility>
 
 #include <array>
@@ -20,6 +19,26 @@ namespace {
 // cardinality-only AdaptiveGrain it makes small builds take the exact
 // sequential path automatically.
 constexpr int64_t kMinSortRun = 1 << 15;
+
+/// True when `ok(i)` holds for every i in [1, n): one parallel pass in
+/// chunks of `grain`, each of which stops at its first failure or once
+/// another chunk has failed.
+template <typename Ok>
+bool AllAdjacentPairs(int64_t n, int64_t grain, ThreadPool& pool,
+                      const Ok& ok) {
+  std::atomic<bool> all{true};
+  pool.ParallelChunks(1, n, grain, [&](int, int64_t lo, int64_t hi) {
+    // Relaxed: a one-way false flag, read again only after the join.
+    if (!all.load(std::memory_order_relaxed)) return;
+    for (int64_t i = lo; i < hi; ++i) {
+      if (!ok(i)) {
+        all.store(false, std::memory_order_relaxed);
+        return;
+      }
+    }
+  });
+  return all.load(std::memory_order_relaxed);
+}
 
 /// Parallel sort of the row-id permutation: sort fixed-size runs
 /// concurrently, then log2(runs) passes of pairwise merges. `less` must be a
@@ -76,11 +95,12 @@ bool PackedRadixSortRows(std::vector<uint32_t>* rows,
   const size_t num_levels = kc.size();
   if (n < 1024) return false;  // std::sort wins below this
   const uint32_t* r = rows->data();
-  for (size_t i = 1; i < n; ++i) {
-    if (r[i] <= r[i - 1]) return false;
+  const int64_t grain = AdaptiveGrain(static_cast<int64_t>(n), kMinSortRun);
+  if (!AllAdjacentPairs(static_cast<int64_t>(n), grain, pool,
+                        [r](int64_t i) { return r[i - 1] < r[i]; })) {
+    return false;
   }
 
-  const int64_t grain = AdaptiveGrain(static_cast<int64_t>(n), kMinSortRun);
   const size_t num_chunks =
       (n + static_cast<size_t>(grain) - 1) / static_cast<size_t>(grain);
   const auto chunk_range = [&](int64_t c, size_t* lo, size_t* hi) {
@@ -177,6 +197,64 @@ bool PackedRadixSortRows(std::vector<uint32_t>* rows,
                           out[i] = static_cast<uint32_t>(s[i] & 0xFFFFFFFFu);
                         }
                       });
+  return true;
+}
+
+/// One pass over `rows` in chunks cut by their count: dlev[i], the first
+/// key level on which row i differs from row i-1 (num_levels when the key
+/// tuple repeats; dlev[0] = 0), and the root starts, the positions whose
+/// level-0 code differs from the previous row's (0 included), gathered per
+/// chunk and concatenated in chunk order. With `check_order` the pass also
+/// checks that every row follows its predecessor in the build's (key
+/// tuple, row id) order; it returns false, its outputs incomplete, when
+/// some pair does not.
+bool ScanKeyOrder(const std::vector<uint32_t>& rows,
+                  const std::vector<const uint32_t*>& kc, bool check_order,
+                  ThreadPool& pool, std::vector<uint32_t>* dlev,
+                  std::vector<uint32_t>* root_starts) {
+  const int64_t n = static_cast<int64_t>(rows.size());
+  const uint32_t num_levels = static_cast<uint32_t>(kc.size());
+  dlev->resize(rows.size());
+  const int64_t grain = AdaptiveGrain(n, kMinSortRun);
+  const int64_t num_chunks = (n + grain - 1) / grain;
+  std::vector<std::vector<uint32_t>> roots(num_chunks);
+  std::atomic<bool> in_order{true};
+  pool.ParallelFor(0, num_chunks, 1, [&](int, int64_t c) {
+    // Relaxed: a one-way false flag, read again only after the join.
+    if (!in_order.load(std::memory_order_relaxed)) return;
+    const int64_t lo = c * grain;
+    const int64_t hi = std::min(n, lo + grain);
+    // A chunk-local vector: neighbouring chunks' headers share cache lines.
+    std::vector<uint32_t> out;
+    if (lo == 0) {
+      (*dlev)[0] = 0;
+      out.push_back(0);
+    }
+    const uint32_t* const* codes = kc.data();
+    const uint32_t* r = rows.data();
+    uint32_t* dl = dlev->data();
+    for (int64_t i = std::max<int64_t>(lo, 1); i < hi; ++i) {
+      const uint32_t a = r[i - 1];
+      const uint32_t b = r[i];
+      uint32_t d = num_levels;
+      for (uint32_t l = 0; l < num_levels; ++l) {
+        if (codes[l][a] != codes[l][b]) {
+          d = l;
+          break;
+        }
+      }
+      if (check_order &&
+          !(d < num_levels ? codes[d][a] < codes[d][b] : a < b)) {
+        in_order.store(false, std::memory_order_relaxed);
+        return;
+      }
+      dl[i] = d;
+      if (d == 0) out.push_back(static_cast<uint32_t>(i));
+    }
+    roots[c] = std::move(out);
+  });
+  if (!in_order.load(std::memory_order_relaxed)) return false;
+  *root_starts = ConcatInOrder(&roots, pool);
   return true;
 }
 
@@ -296,20 +374,23 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
     }
   }
 
-  // Row set (selection pushdown), sorted lexicographically by key codes.
-  std::vector<uint32_t> rows;
-  if (spec.selection != nullptr) {
-    rows = *spec.selection;
-  } else {
-    rows.resize(table_rows);
-    std::iota(rows.begin(), rows.end(), 0u);
-  }
-  const size_t n = rows.size();
+  ThreadPool& pool = ThreadPool::Global();
+
+  // Row set: the selection pushdown, or every row.
+  const std::vector<uint32_t>* sel = spec.selection;
+  const size_t n = sel != nullptr ? sel->size() : table_rows;
+  std::vector<uint32_t> rows(n);
+  pool.ParallelChunks(0, static_cast<int64_t>(n),
+                      AdaptiveGrain(static_cast<int64_t>(n), kMinSortRun),
+                      [&](int, int64_t lo, int64_t hi) {
+                        for (int64_t i = lo; i < hi; ++i) {
+                          rows[i] = sel != nullptr ? (*sel)[i]
+                                                   : static_cast<uint32_t>(i);
+                        }
+                      });
 
   std::vector<const uint32_t*> kc(num_levels);
   for (size_t l = 0; l < num_levels; ++l) kc[l] = spec.key_codes[l]->data();
-
-  ThreadPool& pool = ThreadPool::Global();
 
   // Strict TOTAL order: ties on the full key tuple break on row id, so
   // duplicate key rows keep table order. That pins one canonical sorted
@@ -322,52 +403,46 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
     }
     return a < b;
   };
-  if (!PackedRadixSortRows(&rows, kc, pool)) {
-    ParallelSortRows(&rows, row_less, pool);
-  }
 
   // dlev[i]: first key level on which sorted row i differs from row i-1
-  // (num_levels when the full key tuple repeats). dlev[0] = 0.
-  std::vector<uint32_t> dlev(n);
-  pool.ParallelChunks(
-      1, static_cast<int64_t>(n), AdaptiveGrain(n, kMinSortRun),
-      [&](int, int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          uint32_t d = static_cast<uint32_t>(num_levels);
-          for (size_t l = 0; l < num_levels; ++l) {
-            if (kc[l][rows[i]] != kc[l][rows[i - 1]]) {
-              d = static_cast<uint32_t>(l);
-              break;
-            }
-          }
-          dlev[i] = d;
-        }
-      });
-  if (n > 0) dlev[0] = 0;
-
-  // Root-value starts (== level-0 element starts). Deeper levels are built
-  // in parallel over partitions cut at these row positions: a partition
-  // boundary has dlev == 0, so every per-partition set and element decision
-  // matches what the sequential sweep would make, and fragments splice into
-  // the identical level layout. Cuts depend only on cardinality — trie
-  // bytes are the same at every thread count.
+  // (num_levels when the full key tuple repeats). Root-value starts (==
+  // level-0 element starts) are the rows with dlev == 0. Rows already in
+  // the sorted order — a selection of a table stored in key order — skip
+  // the sort: the sorted permutation is unique, so the trie is the same
+  // either way, and the order check doubles as the dlev pass.
+  std::vector<uint32_t> dlev;
   std::vector<uint32_t> root_starts;
-  for (size_t i = 0; i < n; ++i) {
-    if (i == 0 || dlev[i] == 0) root_starts.push_back(static_cast<uint32_t>(i));
+  const bool presorted =
+      ScanKeyOrder(rows, kc, /*check_order=*/true, pool, &dlev, &root_starts);
+  if (!presorted) {
+    if (!PackedRadixSortRows(&rows, kc, pool)) {
+      ParallelSortRows(&rows, row_less, pool);
+    }
+    ScanKeyOrder(rows, kc, /*check_order=*/false, pool, &dlev, &root_starts);
   }
+
+  // Deeper levels are built in parallel over partitions cut at root-value
+  // starts: a partition boundary has dlev == 0, so every per-partition set
+  // and element decision matches what the sequential sweep would make, and
+  // fragments splice into the identical level layout. Partition p starts at
+  // the first root start at or past p * part_grain; the cuts depend only on
+  // cardinality, so trie bytes are the same at every thread count.
   std::vector<uint32_t> part_start;
   {
-    const int64_t part_grain = AdaptiveGrain(n, 1 << 14);
-    int64_t next_target = 0;
-    for (uint32_t rs : root_starts) {
-      if (static_cast<int64_t>(rs) >= next_target) {
-        part_start.push_back(rs);
-        next_target = static_cast<int64_t>(rs) + part_grain;
+    const int64_t part_grain = AdaptiveGrain(static_cast<int64_t>(n), 1 << 14);
+    for (int64_t target = 0; target < static_cast<int64_t>(n);
+         target += part_grain) {
+      const auto it = std::lower_bound(root_starts.begin(), root_starts.end(),
+                                       static_cast<uint32_t>(target));
+      if (it == root_starts.end()) break;
+      if (part_start.empty() || *it != part_start.back()) {
+        part_start.push_back(*it);
       }
     }
   }
 
   Trie trie;
+  trie.presorted_ = presorted;
   trie.levels_.resize(num_levels);
 
   // Per-level element start positions (into `rows`), kept transiently for
@@ -412,13 +487,19 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
       // Level 0 is a single set of the root values.
       std::vector<uint64_t> scratch_words;
       std::vector<uint32_t> scratch_ranks;
-      std::vector<uint32_t> vals;
-      vals.reserve(root_starts.size());
-      for (uint32_t rs : root_starts) vals.push_back(kc[0][rows[rs]]);
+      std::vector<uint32_t> vals(root_starts.size());
+      pool.ParallelChunks(
+          0, static_cast<int64_t>(vals.size()),
+          AdaptiveGrain(static_cast<int64_t>(vals.size()), 1 << 14),
+          [&](int, int64_t lo, int64_t hi) {
+            for (int64_t j = lo; j < hi; ++j) {
+              vals[j] = kc[0][rows[root_starts[j]]];
+            }
+          });
       TrieLevel::SetDesc desc;
       EmitSet(vals, 0, &desc, &level, &scratch_words, &scratch_ranks);
       level.sets_.push_back(desc);
-      elem_starts[0] = root_starts;
+      elem_starts[0] = std::move(root_starts);
     } else if (part_start.size() <= 1) {
       build_level_range(l, 0, n, &level, &elem_starts[l]);
     } else {
@@ -432,42 +513,60 @@ Result<Trie> Trie::Build(const TrieBuildSpec& spec) {
                                                        num_parts)
                                                ? part_start[p + 1]
                                                : n;
-                         build_level_range(l, ps, pe, &frags[p],
-                                           &frag_elems[p]);
+                         // Built in locals, then moved: neighbouring
+                         // fragments' vector headers share cache lines.
+                         TrieLevel frag;
+                         std::vector<uint32_t> elems;
+                         build_level_range(l, ps, pe, &frag, &elems);
+                         frags[p] = std::move(frag);
+                         frag_elems[p] = std::move(elems);
                        });
-      // Splice the fragments in partition order, rebasing buffer offsets
-      // and global ranks by the preceding fragments' totals. Fragment-local
-      // base_ranks are already cumulative within the fragment, so every set
-      // shifts by the same constant: the element count of all prior
-      // fragments.
-      uint32_t rank_off = 0;
+      // Splice the fragments in partition order. Prefix sums of their sizes
+      // give each fragment its own slice of every level buffer, so the
+      // fragments copy in parallel. Fragment-local base ranks and buffer
+      // offsets are already cumulative within the fragment, so every set
+      // shifts by the same constants: the element, value and word counts
+      // of all prior fragments.
+      struct Offsets {
+        size_t sets = 0, values = 0, words = 0, elems = 0;
+      };
+      std::vector<Offsets> off(num_parts + 1);
       for (size_t p = 0; p < num_parts; ++p) {
-        const TrieLevel& f = frags[p];
-        const uint32_t voff =
-            static_cast<uint32_t>(level.uint_values_.size());
-        const uint32_t woff = static_cast<uint32_t>(level.words_.size());
-        uint32_t frag_elements = 0;
-        for (TrieLevel::SetDesc d : f.sets_) {
-          d.base_rank += rank_off;
-          if (d.layout == SetLayout::kUint) {
-            d.values_offset += voff;
-          } else {
-            d.words_offset += woff;
-          }
-          level.sets_.push_back(d);
-          frag_elements += d.cardinality;
-        }
-        rank_off += frag_elements;
-        level.uint_values_.insert(level.uint_values_.end(),
-                                  f.uint_values_.begin(),
-                                  f.uint_values_.end());
-        level.words_.insert(level.words_.end(), f.words_.begin(),
-                            f.words_.end());
-        level.word_ranks_.insert(level.word_ranks_.end(),
-                                 f.word_ranks_.begin(), f.word_ranks_.end());
-        elem_starts[l].insert(elem_starts[l].end(), frag_elems[p].begin(),
-                              frag_elems[p].end());
+        off[p + 1].sets = off[p].sets + frags[p].sets_.size();
+        off[p + 1].values = off[p].values + frags[p].uint_values_.size();
+        off[p + 1].words = off[p].words + frags[p].words_.size();
+        off[p + 1].elems = off[p].elems + frag_elems[p].size();
       }
+      level.sets_.resize(off[num_parts].sets);
+      level.uint_values_.resize(off[num_parts].values);
+      level.words_.resize(off[num_parts].words);
+      level.word_ranks_.resize(off[num_parts].words);
+      elem_starts[l].resize(off[num_parts].elems);
+      pool.ParallelFor(0, static_cast<int64_t>(num_parts), 1,
+                       [&](int, int64_t p) {
+                         const TrieLevel& f = frags[p];
+                         const Offsets& o = off[p];
+                         for (size_t i = 0; i < f.sets_.size(); ++i) {
+                           TrieLevel::SetDesc d = f.sets_[i];
+                           d.base_rank += static_cast<uint32_t>(o.elems);
+                           if (d.layout == SetLayout::kUint) {
+                             d.values_offset +=
+                                 static_cast<uint32_t>(o.values);
+                           } else {
+                             d.words_offset += static_cast<uint32_t>(o.words);
+                           }
+                           level.sets_[o.sets + i] = d;
+                         }
+                         std::copy(f.uint_values_.begin(),
+                                   f.uint_values_.end(),
+                                   level.uint_values_.begin() + o.values);
+                         std::copy(f.words_.begin(), f.words_.end(),
+                                   level.words_.begin() + o.words);
+                         std::copy(f.word_ranks_.begin(), f.word_ranks_.end(),
+                                   level.word_ranks_.begin() + o.words);
+                         std::copy(frag_elems[p].begin(), frag_elems[p].end(),
+                                   elem_starts[l].begin() + o.elems);
+                       });
     }
     level.num_elements_ = elem_starts[l].size();
 

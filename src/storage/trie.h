@@ -156,9 +156,10 @@ struct TrieBuildSpec {
 /// An immutable trie over the key attributes of one relation instance.
 class Trie {
  public:
-  /// Sorts the (selected) rows by the key codes, deduplicates key tuples,
-  /// and lays out level sets and annotation buffers. The trie borrows
-  /// nothing from `spec`: its sources need only outlive the call.
+  /// Sorts the (selected) rows by the key codes (skipped when they already
+  /// are in key order), deduplicates key tuples, and lays out level sets
+  /// and annotation buffers. The trie borrows nothing from `spec`: its
+  /// sources need only outlive the call.
   [[nodiscard]] static Result<Trie> Build(const TrieBuildSpec& spec);
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
@@ -189,6 +190,10 @@ class Trie {
   /// accounting). Fixed once Build returns.
   size_t MemoryBytes() const;
 
+  /// True when Build found its rows already in key order and skipped the
+  /// sort (diagnostics: the `sorted` metric of a trie_build span).
+  bool presorted() const { return presorted_; }
+
  private:
   /// Appends one set of ascending values to `level` during construction.
   static void EmitSet(const std::vector<uint32_t>& vals, uint32_t base_rank,
@@ -198,6 +203,7 @@ class Trie {
 
   std::vector<TrieLevel> levels_;
   std::vector<AnnotationBuffer> annotations_;
+  bool presorted_ = false;
 };
 
 }  // namespace levelheaded

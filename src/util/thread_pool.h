@@ -154,6 +154,30 @@ class ThreadPool {
   bool shutdown_ LH_GUARDED_BY(mu_) = false;
 };
 
+/// Concatenates per-chunk outputs in chunk order. The prefix sums of the
+/// part sizes give each part its own slice of the result, and the parts
+/// copy into their slices in parallel, so the result is the same at every
+/// thread count. Small totals copy on the calling thread.
+template <typename T>
+std::vector<T> ConcatInOrder(std::vector<std::vector<T>>* parts,
+                             ThreadPool& pool) {
+  if (parts->size() == 1) return std::move(parts->front());
+  std::vector<size_t> offset(parts->size() + 1, 0);
+  for (size_t p = 0; p < parts->size(); ++p) {
+    offset[p + 1] = offset[p] + (*parts)[p].size();
+  }
+  std::vector<T> out(offset.back());
+  constexpr size_t kMinParallelCopy = size_t{1} << 16;
+  const int64_t num_parts = static_cast<int64_t>(parts->size());
+  const int64_t grain =
+      out.size() < kMinParallelCopy ? std::max<int64_t>(1, num_parts) : 1;
+  pool.ParallelFor(0, num_parts, grain, [&](int, int64_t p) {
+    std::copy((*parts)[p].begin(), (*parts)[p].end(),
+              out.begin() + static_cast<int64_t>(offset[p]));
+  });
+  return out;
+}
+
 }  // namespace levelheaded
 
 #endif  // LEVELHEADED_UTIL_THREAD_POOL_H_

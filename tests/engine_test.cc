@@ -412,6 +412,19 @@ TEST_F(EngineTest, DenseMatrixMatrixViaBlas) {
   CheckAgainstReference(sql);
 }
 
+// The kernels write bare keys and the bare SUM only: an expression over
+// the SUM declines the dense kernel and runs as a group program on the
+// join path (it used to fail with PlanError).
+TEST_F(EngineTest, DenseOutputExpressionRunsOnJoinPath) {
+  const std::string sql =
+      "SELECT d1.r, d2.c, 2 * sum(d1.v * d2.v) FROM d d1, d d2 "
+      "WHERE d1.c = d2.r GROUP BY d1.r, d2.c";
+  auto info = engine_->Explain(sql);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info.value().dense, DenseKernel::kNone);
+  CheckAgainstReference(sql);
+}
+
 TEST_F(EngineTest, DenseWithBlasDisabledStillCorrect) {
   QueryOptions opts;
   opts.enable_blas = false;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "sql/parser.h"
 #include "util/date.h"
 #include "util/like_matcher.h"
+#include "util/thread_pool.h"
 
 namespace levelheaded {
 namespace {
@@ -253,6 +255,59 @@ TEST(EvalValueTest, IntervalLiteralRendersAsInt) {
   Value v = EvalValue(e, cells);
   ASSERT_EQ(v.kind(), Value::Kind::kInt);
   EXPECT_EQ(v.AsInt(), 90);
+}
+
+// SelectedRows cuts a table of several chunks across the pool; their
+// concatenation must equal one serial FilterRange sweep, row for row. A
+// typed compare, the LIKE bitmap and the program path each lead once.
+TEST(RowFilterChunkTest, ChunkedSelectionEqualsSerialSweep) {
+  const int kRows = static_cast<int>(3 * RowFilter::kMinChunkRows + 123);
+  Catalog catalog;
+  Table* t = catalog
+                 .CreateTable(TableSchema(
+                     "big", {ColumnSpec::Key("k", ValueType::kInt64),
+                             ColumnSpec::Annotation("num", ValueType::kDouble),
+                             ColumnSpec::Annotation("name",
+                                                    ValueType::kString)}))
+                 .ValueOrDie();
+  const char* names[] = {"forest green", "royal blue", "light green",
+                         "dim grey"};
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value::Int(i),
+                              Value::Real(i % 997 / 10.0),
+                              Value::Str(names[(i / 3) % 4])})
+                    .ok());
+  }
+  ASSERT_TRUE(catalog.Finalize().ok());
+  const Table* big = catalog.GetTable("big");
+  ThreadPool::SetGlobalThreadsForTesting(4);
+  for (const char* predicate :
+       {"num < 50", "name LIKE '%green%' AND num >= 20",
+        "num < 10 OR name = 'dim grey'"}) {
+    auto parsed = ParseSelect(std::string("SELECT k FROM big WHERE ") +
+                              predicate);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto bound = Bind(parsed.TakeValue(), catalog);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    std::vector<const Expr*> conjuncts;
+    for (const ExprPtr& f : bound.value().relations[0].filters) {
+      conjuncts.push_back(f.get());
+    }
+    auto filter = RowFilter::Compile(conjuncts, *big);
+    ASSERT_TRUE(filter.ok()) << filter.status().ToString();
+    std::vector<uint32_t> serial;
+    uint32_t sel[ExprProgram::kBatch];
+    for (int base = 0; base < kRows; base += ExprProgram::kBatch) {
+      const int m = std::min(ExprProgram::kBatch, kRows - base);
+      const int kept =
+          filter.value().FilterRange(static_cast<uint32_t>(base), m, sel);
+      serial.insert(serial.end(), sel, sel + kept);
+    }
+    EXPECT_GT(serial.size(), 0u) << predicate;
+    EXPECT_LT(serial.size(), static_cast<size_t>(kRows)) << predicate;
+    EXPECT_EQ(filter.value().SelectedRows(), serial) << predicate;
+  }
+  ThreadPool::SetGlobalThreadsForTesting(0);
 }
 
 TEST_F(RowFilterTest, CompileRejectsStringBetweenBounds) {

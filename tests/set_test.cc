@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -222,6 +223,18 @@ struct IntersectCase {
   SetLayout layout_a;
   SetLayout layout_b;
 };
+
+// gtest prints each test's parameter beside its name, and test discovery
+// names the ctest test after it. The default printer dumps the struct's
+// bytes, padding included, so those names changed between builds; this
+// prints the fields, e.g. u1000_a200uint_b200bitset.
+void PrintTo(const IntersectCase& c, std::ostream* os) {
+  const auto layout = [](SetLayout l) {
+    return l == SetLayout::kUint ? "uint" : "bitset";
+  };
+  *os << "u" << c.universe << "_a" << c.size_a << layout(c.layout_a) << "_b"
+      << c.size_b << layout(c.layout_b);
+}
 
 class IntersectPropertyTest
     : public ::testing::TestWithParam<IntersectCase> {};

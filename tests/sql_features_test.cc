@@ -416,5 +416,49 @@ TEST_F(GroupExpressionTest, BareStringLiteralOutputIsAnError) {
   EXPECT_EQ(join.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A WHERE that is always false takes the executor's empty shortcut. Its
+// result must not depend on that path: the same error as a non-empty run
+// for a bare string literal output, and the same column types as every
+// baseline mode (whose empty path materializes an empty group table).
+TEST_F(GroupExpressionTest, AlwaysEmptyResultMatchesTheBaselines) {
+  const std::string literal = "SELECT k, 'x' FROM t WHERE 1 = 0 GROUP BY k";
+  Engine engine(&catalog_);
+  auto r = engine.Query(literal);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  for (BaselineMode mode :
+       {BaselineMode::kVectorized, BaselineMode::kMaterialized,
+        BaselineMode::kInterpreted}) {
+    PairwiseEngine baseline(&catalog_, mode);
+    auto b = baseline.Query(literal);
+    ASSERT_FALSE(b.ok()) << BaselineModeName(mode);
+    EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument)
+        << BaselineModeName(mode) << ": " << b.status().ToString();
+  }
+  for (const std::string sql :
+       {"SELECT k, sum(v), count(*) FROM t WHERE 1 = 0 GROUP BY k",
+        "SELECT t.k, sum(t.v * u.w) FROM t, u WHERE t.k = u.k AND 1 = 0 "
+        "GROUP BY t.k",
+        "SELECT country, CASE WHEN count(*) > 1 THEN 1 ELSE 0 END "
+        "FROM artists WHERE 1 = 0 GROUP BY country"}) {
+    auto e = engine.Query(sql);
+    ASSERT_TRUE(e.ok()) << sql << "\n" << e.status().ToString();
+    EXPECT_EQ(e.value().num_rows, 0u) << sql;
+    for (BaselineMode mode :
+         {BaselineMode::kVectorized, BaselineMode::kMaterialized,
+          BaselineMode::kInterpreted}) {
+      PairwiseEngine baseline(&catalog_, mode);
+      auto b = baseline.Query(sql);
+      ASSERT_TRUE(b.ok()) << sql << " on " << BaselineModeName(mode);
+      ASSERT_EQ(b.value().columns.size(), e.value().columns.size()) << sql;
+      for (size_t c = 0; c < e.value().columns.size(); ++c) {
+        EXPECT_EQ(e.value().columns[c].type, b.value().columns[c].type)
+            << sql << " column " << c << " on " << BaselineModeName(mode);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace levelheaded

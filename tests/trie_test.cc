@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <tuple>
@@ -229,6 +230,89 @@ TEST(TrieTest, VerifyFirstUniqueRejectsUndeterminedAnnotation) {
   // A determined annotation passes the same check.
   tag = {5, 5, 7};
   EXPECT_TRUE(Trie::Build(spec).ok());
+}
+
+// Level-by-level and annotation-by-annotation equality, bit for bit.
+void ExpectSameTrie(const Trie& x, const Trie& y) {
+  ASSERT_EQ(x.num_levels(), y.num_levels());
+  for (int l = 0; l < x.num_levels(); ++l) {
+    const TrieLevel& lx = x.level(l);
+    const TrieLevel& ly = y.level(l);
+    ASSERT_EQ(lx.num_sets(), ly.num_sets()) << "level " << l;
+    ASSERT_EQ(lx.num_elements(), ly.num_elements()) << "level " << l;
+    ASSERT_EQ(lx.full_size(), ly.full_size()) << "level " << l;
+    for (uint32_t s = 0; s < lx.num_sets(); ++s) {
+      ASSERT_EQ(lx.base_rank(s), ly.base_rank(s)) << "level " << l;
+      ASSERT_EQ(lx.set(s).layout, ly.set(s).layout) << "level " << l;
+      ASSERT_EQ(lx.set(s).ToVector(), ly.set(s).ToVector()) << "level " << l;
+    }
+    for (uint64_t e = 0; e <= lx.num_elements(); ++e) {
+      ASSERT_EQ(lx.first_leaf(e), ly.first_leaf(e)) << "level " << l;
+    }
+  }
+  ASSERT_EQ(x.num_annotations(), y.num_annotations());
+  for (size_t i = 0; i < x.num_annotations(); ++i) {
+    const AnnotationBuffer& ax = x.annotation(i);
+    const AnnotationBuffer& ay = y.annotation(i);
+    EXPECT_EQ(ax.name, ay.name);
+    EXPECT_EQ(ax.type, ay.type);
+    EXPECT_EQ(ax.level, ay.level);
+    EXPECT_EQ(ax.ints, ay.ints) << ax.name;
+    EXPECT_EQ(ax.codes, ay.codes) << ax.name;
+    ASSERT_EQ(ax.reals.size(), ay.reals.size()) << ax.name;
+    if (!ax.reals.empty()) {
+      EXPECT_EQ(0, std::memcmp(ax.reals.data(), ay.reals.data(),
+                               ax.reals.size() * sizeof(double)))
+          << ax.name;
+    }
+  }
+}
+
+// A selection already in key order takes the presorted path and skips the
+// sort; the same rows in reverse must be sorted. The sorted permutation is
+// unique, so both builds give the same trie. The table is big enough that
+// the order scan, the level partitions and their splice each run in
+// several chunks; the dyadic weights make every sum exact in any order.
+TEST(TrieTest, PresortedSelectionBuildsTheSortedTrie) {
+  constexpr uint32_t kRows = 200000;
+  std::vector<uint32_t> a(kRows), b(kRows);
+  std::vector<int64_t> tag(kRows);
+  std::vector<double> w(kRows);
+  for (uint32_t r = 0; r < kRows; ++r) {
+    a[r] = r / 6;        // six rows per root value, ascending
+    b[r] = (r % 6) / 2;  // each (a, b) twice: duplicates merge
+    tag[r] = static_cast<int64_t>(a[r] % 1000);  // determined by a
+    w[r] = static_cast<double>(static_cast<int>(r * 37 % 17) - 8) / 4.0;
+  }
+  std::vector<uint32_t> sel;
+  for (uint32_t r = 0; r < kRows; ++r) {
+    if (r % 5 != 0) sel.push_back(r);
+  }
+  const std::vector<uint32_t> reversed(sel.rbegin(), sel.rend());
+  auto build = [&](const std::vector<uint32_t>* selection) {
+    TrieBuildSpec spec;
+    spec.key_codes = {&a, &b};
+    TrieAnnotationSpec sum;
+    sum.name = "w";
+    sum.merge = AnnotationMerge::kSum;
+    sum.reals = &w;
+    TrieAnnotationSpec first;
+    first.name = "tag";
+    first.type = ValueType::kInt64;
+    first.merge = AnnotationMerge::kFirst;
+    first.ints = &tag;
+    spec.annotations = {sum, first};
+    spec.add_count_annotation = true;
+    spec.selection = selection;
+    return Trie::Build(spec).ValueOrDie();
+  };
+  const Trie fast = build(&sel);
+  const Trie sorted = build(&reversed);
+  EXPECT_TRUE(fast.presorted());
+  EXPECT_FALSE(sorted.presorted());
+  EXPECT_EQ(fast.num_tuples(), kRows / 2);  // every (a, b) keeps a row
+  EXPECT_EQ(fast.annotation(1).level, 0);  // tag attaches at the root
+  ExpectSameTrie(fast, sorted);
 }
 
 // Property test: the trie must round-trip an arbitrary multiset of tuples

@@ -1,5 +1,8 @@
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -192,6 +195,62 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                                            "q9", "q10",
                                            // extensions beyond the paper
                                            "q12", "q14"));
+
+// Every trie_build span splits its build into layers (filter, aggregate-
+// argument compute, Trie::Build) and says how many rows it read and whether
+// they came in key order; every semijoin span counts its roots.
+TEST(TpchProfileTest, TrieBuildSpansCarryLayerMetrics) {
+  Catalog catalog;
+  ASSERT_TRUE(TpchGenerator(0.01).Populate(&catalog).ok());
+  ASSERT_TRUE(catalog.Finalize().ok());
+  const double lineitem_rows =
+      static_cast<double>(catalog.GetTable("lineitem")->num_rows());
+  Engine engine(&catalog);
+  using Metrics = std::map<std::string, double>;
+  auto spans_of = [&](const char* query, const std::string& name) {
+    std::vector<std::pair<std::string, Metrics>> out;
+    auto r = engine.QueryAnalyze(TpchQuery(query));
+    EXPECT_TRUE(r.ok()) << query << ": " << r.status().ToString();
+    if (!r.ok()) return out;
+    for (const obs::SpanRecord& s : r.value().profile->spans) {
+      if (s.name != name) continue;
+      out.emplace_back(s.detail,
+                       Metrics(s.metrics.begin(), s.metrics.end()));
+    }
+    return out;
+  };
+
+  bool saw_lineitem = false;
+  for (const auto& [detail, m] : spans_of("q3", "trie_build")) {
+    for (const char* key :
+         {"filter_ms", "compute_ms", "build_ms", "selected", "sorted"}) {
+      EXPECT_EQ(m.count(key), 1u) << detail << " lacks " << key;
+    }
+    if (detail != "lineitem [filtered]") continue;
+    saw_lineitem = true;
+    // The generator stores lineitem in orderkey order, so the selection
+    // arrives sorted; the revenue argument is computed for the build.
+    EXPECT_EQ(m.at("sorted"), 1);
+    EXPECT_GT(m.at("selected"), 0);
+    EXPECT_LT(m.at("selected"), lineitem_rows);
+    EXPECT_GE(m.at("filter_ms"), 0);
+    EXPECT_GT(m.at("compute_ms") + m.at("build_ms"), 0);
+  }
+  EXPECT_TRUE(saw_lineitem);
+
+  // q8 builds orders in two GHD nodes; its filter runs once per query.
+  std::vector<double> orders_filter_ms;
+  for (const auto& [detail, m] : spans_of("q8", "trie_build")) {
+    if (detail == "orders [filtered]") {
+      orders_filter_ms.push_back(m.at("filter_ms"));
+    }
+  }
+  ASSERT_EQ(orders_filter_ms.size(), 2u);
+  EXPECT_EQ(orders_filter_ms[1], 0);
+  const auto semijoins = spans_of("q8", "semijoin");
+  ASSERT_FALSE(semijoins.empty());
+  EXPECT_GT(semijoins[0].second.at("roots"), 0);
+}
 
 // LA queries over generated matrices: engines agree.
 TEST(MatrixWorkloadTest, SmvAndSmmEnginesAgree) {
